@@ -2,9 +2,10 @@
 
 The model is assembled block by block: counterpart blocks of adjacent
 frames are compared, and when a cell is judged static its pixels are
-committed verbatim from the later frame of the pair. Cells are visited in
-row-major order and each cell settles at most once; building stops when
-every cell has settled or the frame budget runs out.
+committed verbatim from the later frame of the pair. Each pair scores the
+still unsettled cells, one grid row per call, and each cell settles at
+most once; building stops when every cell has settled or the frame budget
+runs out.
 
 Cell status bookkeeping: a cell is either unsettled, settled at a frame
 index (the later frame of the agreeing pair), or backfilled from a
@@ -13,14 +14,13 @@ fallback frame after the budget ran out.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .blocks import BlockGrid, extract_block, make_grid
-from .comparators import ComparatorConfig, Verdict, compare
+from .blocks import BlockGrid, block_view, make_grid
+from .comparators import ComparatorConfig, score_blocks
 from .errors import InconsistentSequence, PnmError, SequenceTooShort
 from .imaging import Frame, load_frame, save_frame
 
@@ -47,11 +47,7 @@ class BackgroundModel:
     built_from: tuple[int, int]
 
     def block(self, row: int, col: int) -> np.ndarray:
-        y0 = row * self.grid.block_height
-        x0 = col * self.grid.block_width
-        return self.pixels[
-            y0 : y0 + self.grid.block_height, x0 : x0 + self.grid.block_width
-        ]
+        return block_view(self.pixels, self.grid)[row, col]
 
 
 def coverage(model: BackgroundModel) -> float:
@@ -74,27 +70,11 @@ def _check_frames(frames: list[Frame], grid: BlockGrid) -> None:
             )
 
 
-def _compare_cells(cells, a, b, grid, cfg, jobs):
-    """Verdicts for the given cells between frames a and b, in cell order."""
-
-    def one(cell):
-        row, col = cell
-        return compare(
-            extract_block(a, grid, row, col), extract_block(b, grid, row, col), cfg
-        ).verdict
-
-    if jobs <= 1 or len(cells) < 2:
-        return [one(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, cells))
-
-
 def build_srbi(
     frames,
     grid: BlockGrid,
     cfg: ComparatorConfig,
     max_frames: int = DEFAULT_MAX_FRAMES,
-    jobs: int = 1,
 ) -> BackgroundModel:
     """Build the SRBI from a frame sequence.
 
@@ -108,26 +88,24 @@ def build_srbi(
     g = grid.g
     status = np.full((g, g), CELL_UNSETTLED, dtype=np.int32)
     pixels = np.zeros((grid.cropped_height, grid.cropped_width), dtype=np.uint8)
+    model_blocks = block_view(pixels, grid)
     limit = min(len(frames), max_frames)
     consumed = 2  # a single comparison already looks at two frames
     for t in range(limit - 1):
-        pending = [
-            (r, c) for r in range(g) for c in range(g) if status[r, c] == CELL_UNSETTLED
-        ]
-        if not pending:
+        pending = status == CELL_UNSETTLED
+        if not pending.any():
             consumed = t + 1
             break
         consumed = t + 2
-        a, b = frames[t], frames[t + 1]
-        verdicts = _compare_cells(pending, a, b, grid, cfg, jobs)
-        for (row, col), verdict in zip(pending, verdicts):
-            if verdict is Verdict.STATIC:
-                y0 = row * grid.block_height
-                x0 = col * grid.block_width
-                pixels[
-                    y0 : y0 + grid.block_height, x0 : x0 + grid.block_width
-                ] = extract_block(b, grid, row, col)
-                status[row, col] = t + 1
+        blocks_a = block_view(frames[t], grid)
+        blocks_b = block_view(frames[t + 1], grid)
+        # One grid row of pending blocks per call bounds the temporaries.
+        for row in np.flatnonzero(pending.any(axis=1)):
+            cols = np.flatnonzero(pending[row])
+            scores = score_blocks(blocks_a[row, cols], blocks_b[row, cols], cfg)
+            static = cols[scores < cfg.threshold]
+            model_blocks[row, static] = blocks_b[row, static]
+            status[row, static] = t + 1
     pixels.setflags(write=False)
     return BackgroundModel(
         grid=grid, pixels=pixels, cell_status=status, built_from=(0, consumed)
@@ -148,15 +126,9 @@ def backfill(model: BackgroundModel, fallback: Frame) -> BackgroundModel:
         )
     pixels = model.pixels.copy()
     status = model.cell_status.copy()
-    for row in range(grid.g):
-        for col in range(grid.g):
-            if status[row, col] == CELL_UNSETTLED:
-                y0 = row * grid.block_height
-                x0 = col * grid.block_width
-                pixels[
-                    y0 : y0 + grid.block_height, x0 : x0 + grid.block_width
-                ] = extract_block(fallback, grid, row, col)
-                status[row, col] = CELL_BACKFILLED
+    unsettled = status == CELL_UNSETTLED
+    block_view(pixels, grid)[unsettled] = block_view(fallback, grid)[unsettled]
+    status[unsettled] = CELL_BACKFILLED
     pixels.setflags(write=False)
     return BackgroundModel(
         grid=grid, pixels=pixels, cell_status=status, built_from=model.built_from
@@ -168,20 +140,20 @@ def update_srbi(
     frames,
     cfg: ComparatorConfig,
     max_frames: int = DEFAULT_MAX_FRAMES,
-    jobs: int = 1,
 ) -> BackgroundModel:
     """Rebuild from newer frames; keep the old model unless coverage holds up.
 
     The new model is adopted only when its coverage is at least the old
     one's, so a burst of activity can never degrade an established model.
     """
-    fresh = build_srbi(frames, model.grid, cfg, max_frames=max_frames, jobs=jobs)
+    fresh = build_srbi(frames, model.grid, cfg, max_frames=max_frames)
     if coverage(fresh) >= coverage(model):
         return fresh
     return model
 
 
 _STATUS_NAMES = {CELL_UNSETTLED: "unsettled", CELL_BACKFILLED: "backfilled"}
+_STATUS_CODES = {name: code for code, name in _STATUS_NAMES.items()}
 
 
 def save_model(model: BackgroundModel, path) -> None:
@@ -209,7 +181,11 @@ def save_model(model: BackgroundModel, path) -> None:
 
 
 def load_model(path) -> BackgroundModel:
-    """Load a model written by save_model (PGM + '.cells' sidecar)."""
+    """Load a model written by save_model (PGM + '.cells' sidecar).
+
+    Raises PnmError naming the sidecar line that is malformed, out of the
+    grid, repeated, or pairs a status with an impossible settle index.
+    """
     path = Path(path)
     frame = load_frame(path)
     sidecar = path.with_name(path.name + _SIDECAR_SUFFIX)
@@ -218,38 +194,44 @@ def load_model(path) -> BackgroundModel:
     g = None
     built = (0, 0)
     cells = {}
-    for line in sidecar.read_text(encoding="ascii").splitlines():
-        line = line.strip()
+    for ln, raw in enumerate(sidecar.read_text(encoding="ascii").splitlines(), start=1):
+        line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if parts[:1] == ["grid"]:
-                g = int(parts[1])
-            elif parts[:1] == ["built_from"]:
-                built = (int(parts[1]), int(parts[2]))
-            continue
-        row_s, col_s, name, settle_s = line.split()
-        cells[(int(row_s), int(col_s))] = (name, int(settle_s))
+        where = f"model sidecar line {ln}"
+        try:
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if parts[:1] == ["grid"]:
+                    g = int(parts[1])
+                elif parts[:1] == ["built_from"]:
+                    built = (int(parts[1]), int(parts[2]))
+                continue
+            row_s, col_s, name, settle_s = line.split()
+            cell, settle = (int(row_s), int(col_s)), int(settle_s)
+        except (ValueError, IndexError) as exc:
+            raise PnmError(f"{where}: malformed {raw!r}") from exc
+        if g is None or not (0 <= cell[0] < g and 0 <= cell[1] < g):
+            raise PnmError(f"{where}: cell {cell} is not inside a grid declared above it")
+        if cell in cells:
+            raise PnmError(f"{where}: cell {cell} listed twice")
+        code = settle if name == "settled" else _STATUS_CODES.get(name)
+        if code is None:
+            raise PnmError(f"{where}: unknown cell status {name!r}")
+        if not (0 <= settle <= np.iinfo(np.int32).max if name == "settled" else settle == -1):
+            raise PnmError(f"{where}: status {name} with settle index {settle}")
+        cells[cell] = code
     if g is None:
         raise PnmError(f"model sidecar lacks a grid declaration: {sidecar}")
     grid = make_grid(frame.width, frame.height, g)
     if (grid.cropped_width, grid.cropped_height) != (frame.width, frame.height):
         raise PnmError("model image dimensions are not a multiple of the grid")
     status = np.full((g, g), CELL_UNSETTLED, dtype=np.int32)
-    for row in range(g):
-        for col in range(g):
-            if (row, col) not in cells:
-                raise PnmError(f"model sidecar missing cell ({row}, {col})")
-            name, settle = cells[(row, col)]
-            if name == "settled":
-                status[row, col] = settle
-            elif name == "backfilled":
-                status[row, col] = CELL_BACKFILLED
-            elif name == "unsettled":
-                status[row, col] = CELL_UNSETTLED
-            else:
-                raise PnmError(f"model sidecar has unknown cell status {name!r}")
+    for cell, code in cells.items():
+        status[cell] = code
+    missing = [cell for cell in np.ndindex(g, g) if cell not in cells]
+    if missing:
+        raise PnmError(f"model sidecar missing cell {missing[0]}")
     px = frame.pixels.copy()
     px.setflags(write=False)
     return BackgroundModel(grid=grid, pixels=px, cell_status=status, built_from=built)

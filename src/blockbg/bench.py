@@ -384,7 +384,7 @@ def bench_methods(
     boxes = truth_boxes_for(spec, grid.cropped_width, grid.cropped_height, params)
 
     def run_one(cfg: ComparatorConfig) -> BenchRow:
-        model = build_srbi(scene.frames, grid, cfg, max_frames=max_frames, jobs=1)
+        model = build_srbi(scene.frames, grid, cfg, max_frames=max_frames)
         cov = coverage(model)
         reach = frames_to_reach(model.cell_status, 1.0, grid.g)
         if cov < 1.0:

@@ -51,15 +51,22 @@ def histogram(frame_or_block) -> Histogram:
     return Histogram(counts.astype(np.int64))
 
 
-def image_entropy(hist: Histogram) -> float:
-    """Shannon entropy in bits: -sum(p * log2(p)) over occupied levels.
+def entropy_bits(counts) -> np.ndarray:
+    """Shannon entropy in bits, -sum(p * log2(p)) over occupied levels, of
+    each gray-level tally along the last axis of ``counts``.
 
     Bounded by [0, 8] for 8-bit data; a constant region scores exactly 0
     and a uniform occupancy of all 256 levels scores exactly 8.
     """
-    p = hist.probabilities
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum()) + 0.0  # normalize -0.0
+    counts = np.asarray(counts)
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return -(p * log_p).sum(axis=-1) + 0.0  # normalize -0.0
+
+
+def image_entropy(hist: Histogram) -> float:
+    """Shannon entropy of one histogram, in bits; see ``entropy_bits``."""
+    return float(entropy_bits(hist.counts))
 
 
 def entropy_of(frame_or_block) -> float:
@@ -128,10 +135,16 @@ def make_grid(width: int, height: int, g: int) -> BlockGrid:
     )
 
 
+def block_view(frame_or_pixels, grid: BlockGrid) -> np.ndarray:
+    """(g, g, block_height, block_width) view of the grid's blocks over the
+    cropped extent; ``[row, col]`` is one block. Writes go to the source."""
+    px = _region(frame_or_pixels)[: grid.cropped_height, : grid.cropped_width]
+    g = grid.g
+    return px.reshape(g, grid.block_height, g, grid.block_width).swapaxes(1, 2)
+
+
 def extract_block(frame: Frame, grid: BlockGrid, row: int, col: int) -> np.ndarray:
     """Read-only view of block (row, col); row-major cell order is (y, x)."""
     if not (0 <= row < grid.g and 0 <= col < grid.g):
         raise IndexError(f"cell ({row}, {col}) outside {grid.g}x{grid.g} grid")
-    y0 = row * grid.block_height
-    x0 = col * grid.block_width
-    return frame.pixels[y0 : y0 + grid.block_height, x0 : x0 + grid.block_width]
+    return block_view(frame, grid)[row, col]

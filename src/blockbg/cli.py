@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .background import (
+    CELL_UNSETTLED,
     DEFAULT_MAX_FRAMES,
     backfill,
     build_srbi,
@@ -57,7 +58,6 @@ DEFAULT_REBUILD_EVERY = 300
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; CLI flags win")
-    p.add_argument("--jobs", type=int, help="worker threads (default 1)")
 
 
 def _add_input(p: argparse.ArgumentParser) -> None:
@@ -85,7 +85,6 @@ def _add_detect_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, help=f"median filter window, odd >= 3 (default {DEFAULT_WINDOW})")
     p.add_argument("--min-area", type=float, help="minimum object area in pixels (default 0.1%% of cropped area)")
     p.add_argument("--no-validate", action="store_true", help="skip the vehicle heuristic; label everything vehicle")
-    p.add_argument("--validator", choices=("heuristic",), help="object classifier (default heuristic)")
     p.add_argument("--aspect-min", type=float, help="heuristic: min w/h (default 0.5)")
     p.add_argument("--aspect-max", type=float, help="heuristic: max w/h (default 4.0)")
     p.add_argument("--fill-min", type=float, help="heuristic: min bbox fill (default 0.4)")
@@ -118,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detect_knobs(p_detect)
     p_detect.add_argument("--rebuild-every", type=int, help=f"rebuild the inline model every N frames (default {DEFAULT_REBUILD_EVERY}, 0 disables)")
     p_detect.add_argument("--out-dir", required=True, help="directory for masks and objects.csv")
+    p_detect.add_argument("--jobs", type=int, help="worker threads over frames (default 1)")
     _add_common(p_detect)
 
     p_bench = sub.add_parser("bench", help="compare all four methods on a synthetic scene")
@@ -127,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detect_knobs(p_bench)
     p_bench.add_argument("--grid", help="grid granularity: auto, 8, 16 or 32 (default auto)")
     p_bench.add_argument("--max-frames", type=int, help=f"frame budget for building (default {DEFAULT_MAX_FRAMES})")
+    p_bench.add_argument("--jobs", type=int, help="worker threads over methods (default 1)")
     _add_common(p_bench)
 
     p_entropy = sub.add_parser("entropy", help="print per-frame entropy (and grid choice for a pair)")
@@ -267,15 +268,6 @@ def _pipeline_params(r: _Resolver) -> PipelineParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _validate_pipeline_params(params: PipelineParams) -> None:
-    if not 0 <= params.subtract_shift <= 7:
-        raise ConfigError(f"subtract shift must be in [0, 7], got {params.subtract_shift}")
-    if params.window < 3 or params.window % 2 == 0:
-        raise ConfigError(f"window must be odd and >= 3, got {params.window}")
-    if params.min_area is not None and params.min_area < 0:
-        raise ConfigError(f"min area must be >= 0, got {params.min_area}")
-
-
 # Keys that locate files or tune parallelism rather than change results;
 # left out of the echo so identical runs write identical bytes no matter
 # where the outputs land or how many workers ran.
@@ -315,17 +307,16 @@ def _cmd_model(args: argparse.Namespace) -> int:
     max_frames = _max_frames(r)
     min_coverage = float(r.get("min_coverage", 1.0, float))
     do_backfill = not bool(r.get("no_backfill", False))
-    jobs = _jobs(r)
     pattern = r.get("pattern", DEFAULT_PATTERN)
     out = Path(r.get("out", None))
 
     frames = load_sequence(args.input, pattern)
     frames = [prefilter(f, kind) for f in frames]
     grid = resolve_grid(frames, params)
-    model = build_srbi(frames, grid, cfg, max_frames=max_frames, jobs=jobs)
+    model = build_srbi(frames, grid, cfg, max_frames=max_frames)
     raw_cov = coverage(model)
     if do_backfill and raw_cov < 1.0:
-        n = int((model.cell_status == -1).sum())
+        n = int((model.cell_status == CELL_UNSETTLED).sum())
         model = backfill(model, frames[model.built_from[1] - 1])
         print(f"backfilled {n} unsettled cell(s) from frame {model.built_from[1] - 1}", file=sys.stderr)
     save_model(model, out)
@@ -340,7 +331,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     cfg = _comparator_config(r)
     params = _pipeline_params(r)
-    _validate_pipeline_params(params)
     kind = r.get("prefilter", "none")
     if kind not in ("none", "median3"):
         raise ConfigError(f"unknown prefilter {kind!r}")
@@ -372,9 +362,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         if n < 2:
             raise ConfigError(f"--model-frames must be >= 2, got {n}")
         grid = resolve_grid(frames, params)
-        model = build_srbi(frames[:n], grid, cfg, max_frames=max_frames, jobs=jobs)
+        model = build_srbi(frames[:n], grid, cfg, max_frames=max_frames)
         if coverage(model) < 1.0:
-            k = int((model.cell_status == -1).sum())
+            k = int((model.cell_status == CELL_UNSETTLED).sum())
             model = backfill(model, frames[min(n, model.built_from[1]) - 1])
             print(f"backfilled {k} unsettled cell(s)", file=sys.stderr)
 
@@ -391,10 +381,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             if pos < len(frames):
                 tail = frames[max(0, pos - max_frames) : pos]
                 if len(tail) >= 2:
-                    candidate = update_srbi(model, tail, cfg, max_frames=max_frames, jobs=jobs)
-                    if candidate is not model and coverage(candidate) < 1.0:
-                        candidate = backfill(candidate, tail[-1])
-                    model = candidate
+                    # the model in use is complete, so only complete rebuilds are adopted
+                    model = update_srbi(model, tail, cfg, max_frames=max_frames)
     else:
         results = run_detection(model, frames, params, jobs=jobs)
 
@@ -419,7 +407,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     params = _pipeline_params(r)
-    _validate_pipeline_params(params)
     max_frames = _max_frames(r)
     iou = float(r.get("iou", 0.5, float))
     jobs = _jobs(r)

@@ -7,6 +7,9 @@ scores 0 for identical blocks, and is symmetric in its arguments. A block
 pair is judged Static when its score falls strictly below the configured
 threshold.
 
+Each method scores a stack of block pairs in one call (``score_blocks``);
+the pairwise functions are the one-pair case of the same code.
+
 The 2-D DCT here is the orthonormal (unitary) DCT-II, computed directly
 as two cosine-matrix multiplications; no transform library is involved.
 """
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocks import entropy_of
+from .blocks import entropy_bits
 from .errors import ShapeMismatch
 
 
@@ -79,39 +82,6 @@ class CompareResult:
     verdict: Verdict
 
 
-def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"block shapes differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        raise ValueError("empty blocks cannot be compared")
-    return a, b
-
-
-def absdiff_score(a, b) -> float:
-    """Mean absolute intensity difference, in [0, 255]."""
-    a, b = _as_pair(a, b)
-    return float(np.abs(a.astype(np.int16) - b.astype(np.int16)).mean())
-
-
-def entropy_score(a, b) -> float:
-    """|H(a) - H(b)| in bits, in [0, 8]. Blind to permutations by design."""
-    a, b = _as_pair(a, b)
-    return abs(entropy_of(a) - entropy_of(b))
-
-
-def xor_score(a, b, shift: int = DEFAULT_XOR_SHIFT) -> float:
-    """Fraction of pixels whose (value >> shift) buckets XOR to nonzero."""
-    if not 0 <= shift <= 7:
-        raise ValueError(f"xor shift must be in [0, 7], got {shift}")
-    a, b = _as_pair(a, b)
-    a = a.astype(np.uint8)
-    b = b.astype(np.uint8)
-    changed = np.count_nonzero((a >> shift) ^ (b >> shift))
-    return changed / a.size
-
-
 @lru_cache(maxsize=None)
 def _dct_matrix(n: int) -> np.ndarray:
     # Orthonormal DCT-II basis: C @ C.T == I.
@@ -157,34 +127,73 @@ def zigzag_indices(height: int, width: int) -> tuple[tuple[int, int], ...]:
 
 
 def zigzag_take(coeffs: np.ndarray, keep: int) -> np.ndarray:
-    """First ``keep`` coefficients in zigzag order (clamped to block area)."""
+    """First ``keep`` coefficients in zigzag order (clamped to block area)
+    of the block held in the last two axes."""
     coeffs = np.asarray(coeffs)
-    order = zigzag_indices(coeffs.shape[0], coeffs.shape[1])
+    order = zigzag_indices(coeffs.shape[-2], coeffs.shape[-1])
     keep = min(keep, len(order))
-    rows = np.fromiter((r for r, _ in order[:keep]), dtype=np.intp, count=keep)
-    cols = np.fromiter((c for _, c in order[:keep]), dtype=np.intp, count=keep)
-    return coeffs[rows, cols]
+    rows, cols = np.array(order[:keep], dtype=np.intp).reshape(-1, 2).T
+    return coeffs[..., rows, cols]
+
+
+def score_blocks(a, b, cfg: ComparatorConfig) -> np.ndarray:
+    """Scores of n counterpart block pairs stacked as (n, height, width)
+    arrays, as float64 of shape (n,)."""
+    n, height, width = a.shape
+    area = height * width
+    if cfg.method is Method.ABSDIFF:
+        diff = np.subtract(a, b, dtype=np.int16, casting="unsafe")
+        # An integer sum over the pixel count equals the float64 mean exactly.
+        return np.abs(diff, out=diff).sum(axis=(1, 2)) / area
+    if cfg.method is Method.ENTROPY:
+        # One tally for both stacks: block i's gray level v lands in bin i*256+v.
+        blocks = np.concatenate((a, b)).astype(np.uint8, copy=False).reshape(2 * n, area)
+        bins = blocks + 256 * np.arange(2 * n)[:, None]
+        h = entropy_bits(np.bincount(bins.ravel(), minlength=512 * n).reshape(2 * n, 256))
+        return np.abs(h[:n] - h[n:])
+    if cfg.method is Method.XOR:
+        a, b = a.astype(np.uint8, copy=False), b.astype(np.uint8, copy=False)
+        changed = (a >> cfg.xor_shift) ^ (b >> cfg.xor_shift)
+        return np.count_nonzero(changed, axis=(1, 2)) / area
+    # The DCT is linear, so the coefficient differences are the DCT of the
+    # block difference, and only the basis rows and columns that the kept
+    # coefficients occupy are applied. The first ``keep`` zigzag cells of
+    # the block are also the first ``keep`` of that rows x cols corner.
+    rows, cols = np.max(zigzag_indices(height, width)[: cfg.dct_keep], axis=0) + 1
+    diff = np.subtract(a, b, dtype=np.float64)
+    coeffs = _dct_matrix(height)[:rows] @ diff @ _dct_matrix(width)[:cols].T
+    return np.abs(zigzag_take(coeffs, cfg.dct_keep)).mean(axis=-1)
+
+
+def score(a, b, cfg: ComparatorConfig) -> float:
+    """Score of one block pair under the configured method."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"block shapes differ: {a.shape} vs {b.shape}")
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError("blocks must be non-empty 2-D arrays")
+    return float(score_blocks(a[None], b[None], cfg)[0])
+
+
+def absdiff_score(a, b) -> float:
+    """Mean absolute intensity difference, in [0, 255]."""
+    return score(a, b, ComparatorConfig(Method.ABSDIFF, 0.0))
+
+
+def entropy_score(a, b) -> float:
+    """|H(a) - H(b)| in bits, in [0, 8]. Blind to permutations by design."""
+    return score(a, b, ComparatorConfig(Method.ENTROPY, 0.0))
+
+
+def xor_score(a, b, shift: int = DEFAULT_XOR_SHIFT) -> float:
+    """Fraction of pixels whose (value >> shift) buckets XOR to nonzero."""
+    return score(a, b, ComparatorConfig(Method.XOR, 0.0, xor_shift=shift))
 
 
 def dct_score(a, b, keep: int = DEFAULT_DCT_KEEP) -> float:
     """Mean absolute difference of the first ``keep`` zigzag DCT coefficients."""
-    if keep < 1:
-        raise ValueError(f"dct keep count must be >= 1, got {keep}")
-    a, b = _as_pair(a, b)
-    fa = zigzag_take(dct2(a), keep)
-    fb = zigzag_take(dct2(b), keep)
-    return float(np.abs(fa - fb).mean())
-
-
-def score(a, b, cfg: ComparatorConfig) -> float:
-    """Dispatch to the configured method's score."""
-    if cfg.method is Method.ABSDIFF:
-        return absdiff_score(a, b)
-    if cfg.method is Method.ENTROPY:
-        return entropy_score(a, b)
-    if cfg.method is Method.XOR:
-        return xor_score(a, b, cfg.xor_shift)
-    return dct_score(a, b, cfg.dct_keep)
+    return score(a, b, ComparatorConfig(Method.DCT, 0.0, dct_keep=keep))
 
 
 def compare(a, b, cfg: ComparatorConfig) -> CompareResult:

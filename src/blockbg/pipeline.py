@@ -48,6 +48,14 @@ class PipelineParams:
     validate: bool = True
     heuristic: HeuristicParams = field(default_factory=HeuristicParams)
 
+    def __post_init__(self):
+        if not 0 <= self.subtract_shift <= 7:
+            raise ValueError(f"subtract shift must be in [0, 7], got {self.subtract_shift}")
+        if self.window < 3 or self.window % 2 == 0:
+            raise ValueError(f"window must be odd and >= 3, got {self.window}")
+        if self.min_area is not None and self.min_area < 0:
+            raise ValueError(f"min area must be >= 0, got {self.min_area}")
+
     def resolved_min_area(self, cropped_area: int) -> float:
         if self.min_area is not None:
             return self.min_area

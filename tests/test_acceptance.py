@@ -281,7 +281,7 @@ def test_criterion_08_cli_outputs_are_byte_deterministic(tmp_path):
         bench_dir.mkdir()
         assert main([
             "model", "--input", str(frames_dir), "--out",
-            str(model_dir / "model.pgm"), "--grid", "8", "--jobs", jobs,
+            str(model_dir / "model.pgm"), "--grid", "8",
         ]) == 0
         assert main([
             "detect", "--input", str(frames_dir), "--model-frames", "2",
@@ -354,7 +354,7 @@ def test_criterion_10_hot_path_meets_the_time_budget():
     cfg = default_config(Method.DCT)
     start = time.perf_counter()
     grid = resolve_grid(scene.frames, params)
-    model = build_srbi(scene.frames, grid, cfg, jobs=1)
+    model = build_srbi(scene.frames, grid, cfg)
     results = run_detection(model, scene.frames, params, jobs=1)
     elapsed = time.perf_counter() - start
     assert len(results) == 60

@@ -15,7 +15,7 @@ from blockbg.background import (
 )
 from blockbg.bench import Mover, SceneSpec, gen_scene
 from blockbg.blocks import extract_block, make_grid
-from blockbg.comparators import Method, default_config
+from blockbg.comparators import Method, Verdict, compare, default_config
 from blockbg.errors import InconsistentSequence, PnmError, SequenceTooShort
 
 from helpers import frame_of, texture
@@ -160,6 +160,39 @@ def test_offscreen_entry_recovered_by_every_method():
         assert (model.cell_status == 1).all()
 
 
+def settle_cell_by_cell(frames, grid, cfg):
+    """Reference build: visit every unsettled cell of every frame pair."""
+    g, bh, bw = grid.g, grid.block_height, grid.block_width
+    status = np.full((g, g), CELL_UNSETTLED)
+    pixels = np.zeros((grid.cropped_height, grid.cropped_width), dtype=np.uint8)
+    consumed = 2
+    for t in range(len(frames) - 1):
+        pending = [(r, c) for r in range(g) for c in range(g) if status[r, c] == CELL_UNSETTLED]
+        if not pending:
+            consumed = t + 1
+            break
+        consumed = t + 2
+        for r, c in pending:
+            a = extract_block(frames[t], grid, r, c)
+            b = extract_block(frames[t + 1], grid, r, c)
+            if compare(a, b, cfg).verdict is Verdict.STATIC:
+                pixels[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw] = b
+                status[r, c] = t + 1
+    return pixels, status, (0, consumed)
+
+
+def test_build_matches_a_cell_by_cell_settle_loop():
+    scene = crossing_scene()
+    grid = make_grid(32, 32, 8)
+    for method in Method:
+        cfg = default_config(method)
+        model = build_srbi(scene.frames, grid, cfg)
+        pixels, status, built_from = settle_cell_by_cell(scene.frames, grid, cfg)
+        assert np.array_equal(model.pixels, pixels), method
+        assert np.array_equal(model.cell_status, status), method
+        assert model.built_from == built_from, method
+
+
 def test_settled_blocks_match_their_settle_frame():
     scene = crossing_scene()
     grid = make_grid(32, 32, 8)
@@ -171,18 +204,6 @@ def test_settled_blocks_match_their_settle_frame():
             assert np.array_equal(
                 model.block(r, c), extract_block(scene.frames[s], grid, r, c)
             )
-
-
-def test_jobs_do_not_change_the_result():
-    scene = crossing_scene()
-    grid = make_grid(32, 32, 8)
-    one = build_srbi(scene.frames, grid, ABSDIFF, jobs=1)
-    four = build_srbi(scene.frames, grid, ABSDIFF, jobs=4)
-    again = build_srbi(scene.frames, grid, ABSDIFF, jobs=4)
-    for other in (four, again):
-        assert np.array_equal(one.pixels, other.pixels)
-        assert np.array_equal(one.cell_status, other.cell_status)
-        assert one.built_from == other.built_from
 
 
 # --- input validation ---
@@ -355,4 +376,34 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
             lines.append(f"{r} {c} settled 1")
     (tmp_path / "model.pgm.cells").write_text("\n".join(lines) + "\n")
     with pytest.raises(PnmError):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "ln, text",
+    [
+        (4, "0 0 settled -1"),
+        (4, "0 0 settled -2"),
+        (4, "0 0 settled 99999999999"),
+        (20, "4 0 settled 1"),
+        (20, "0 0 settled 1"),
+        (4, "0 0 settled"),
+    ],
+    ids=[
+        "settled-at-minus-one",
+        "settled-at-minus-two",
+        "settle-index-past-int32",
+        "outside-grid",
+        "duplicate",
+        "three-fields",
+    ],
+)
+def test_load_rejects_bad_cell_line_and_names_it(tmp_path, ln, text):
+    path = saved_model_path(tmp_path)
+    sidecar = tmp_path / "model.pgm.cells"
+    lines = sidecar.read_text().splitlines()
+    assert len(lines) == 19  # 3 header lines, then the 4x4 cells
+    lines[ln - 1 : ln] = [text]
+    sidecar.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PnmError, match=f"line {ln}:"):
         load_model(path)

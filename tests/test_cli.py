@@ -334,7 +334,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     out = tmp_path / "model.pgm"
     base = ["model", "--input", str(frames), "--out", str(out)]
     assert main(base + ["--method", "dctt"]) == 2  # argparse choice
-    assert main(base + ["--jobs", "0"]) == 2
+    assert main(base + ["--jobs", "2"]) == 2  # model builds on one thread
     assert main(base + ["--max-frames", "1"]) == 2
     assert main(base + ["--grid", "9"]) == 2
     capsys.readouterr()
@@ -347,6 +347,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(detect + ["--rebuild-every", "-1"]) == 2
     assert main(detect + ["--model-frames", "1"]) == 2
     assert main(detect + ["--subtract-shift", "9"]) == 2
+    assert main(detect + ["--jobs", "0"]) == 2
     capsys.readouterr()
 
 

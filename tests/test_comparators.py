@@ -1,6 +1,7 @@
 """The four block scores, the DCT/zigzag machinery, and the verdict rule."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,13 +16,15 @@ from blockbg.comparators import (
     dct_score,
     default_config,
     entropy_score,
+    score_blocks,
     xor_score,
     zigzag_indices,
     zigzag_take,
 )
+from blockbg.blocks import block_view, extract_block, make_grid
 from blockbg.errors import ShapeMismatch
 
-from helpers import texture
+from helpers import frame_of, texture
 
 
 def naive_dct2(px: np.ndarray) -> np.ndarray:
@@ -359,3 +362,62 @@ def test_score_ranges_on_random_pairs():
         assert 0.0 <= s[Method.ENTROPY] <= 8.0
         assert 0.0 <= s[Method.XOR] <= 1.0
         assert s[Method.DCT] >= 0.0
+
+
+# --- stacked scoring against per-block oracles ---
+
+
+def _entropy_oracle(block) -> float:
+    n = block.size
+    return -sum(c / n * math.log2(c / n) for c in Counter(block.ravel().tolist()).values())
+
+
+def _score_oracle(a, b, cfg) -> float:
+    """One block pair scored from the definitions, with Python arithmetic."""
+    a = a.astype(int)
+    b = b.astype(int)
+    if cfg.method is Method.ABSDIFF:
+        return int(np.abs(a - b).sum()) / a.size
+    if cfg.method is Method.XOR:
+        return int(((a >> cfg.xor_shift) != (b >> cfg.xor_shift)).sum()) / a.size
+    if cfg.method is Method.ENTROPY:
+        return abs(_entropy_oracle(a) - _entropy_oracle(b))
+    order = zigzag_oracle(*a.shape)[: cfg.dct_keep]
+    fa, fb = naive_dct2(a), naive_dct2(b)
+    return sum(abs(fa[r, c] - fb[r, c]) for r, c in order) / len(order)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        default_config(Method.ABSDIFF),
+        default_config(Method.ENTROPY),
+        default_config(Method.XOR),
+        ComparatorConfig(Method.XOR, 0.7, xor_shift=0),
+        default_config(Method.DCT),
+        ComparatorConfig(Method.DCT, 6.0, dct_keep=1),
+        ComparatorConfig(Method.DCT, 6.0, dct_keep=100),  # clamped to the block area
+    ],
+    ids=lambda cfg: f"{cfg.method.value}-shift{cfg.xor_shift}-keep{cfg.dct_keep}",
+)
+def test_stacked_scores_match_per_block_oracles(cfg):
+    # 6x8 blocks, so the zigzag and the truncated DCT basis are rectangular
+    grid = make_grid(34, 26, 4)
+    exact = cfg.method in (Method.ABSDIFF, Method.XOR)
+    for seed in range(3):
+        a = texture(5000 + seed, 26, 34, lo=0, hi=256)
+        b = texture(6000 + seed, 26, 34, lo=0, hi=256)
+        b[:12, :16] = a[:12, :16]  # some identical blocks
+        pending = np.random.default_rng(seed).random((4, 4)) < 0.6
+        fa, fb = frame_of(a), frame_of(b)
+        got = score_blocks(block_view(fa, grid)[pending], block_view(fb, grid)[pending], cfg)
+        cells = list(zip(*np.nonzero(pending)))
+        assert got.shape == (len(cells),)
+        for value, (row, col) in zip(got, cells):
+            want = _score_oracle(
+                extract_block(fa, grid, row, col), extract_block(fb, grid, row, col), cfg
+            )
+            if exact:
+                assert value == want, (seed, row, col)
+            else:
+                assert abs(value - want) <= 1e-12, (seed, row, col, value - want)
