@@ -55,57 +55,56 @@ def coverage(model: BackgroundModel) -> float:
     return float(np.mean(model.cell_status != CELL_UNSETTLED))
 
 
-def _check_frames(frames: list[Frame], grid: BlockGrid) -> None:
-    if len(frames) < 2:
-        raise SequenceTooShort(f"need at least 2 frames to build, got {len(frames)}")
-    w, h = frames[0].width, frames[0].height
-    if w < grid.cropped_width or h < grid.cropped_height:
-        raise InconsistentSequence(
-            0, f"frame 0 is {w}x{h}, smaller than the grid extent"
-        )
-    for i, f in enumerate(frames[1:], start=1):
-        if (f.width, f.height) != (w, h):
-            raise InconsistentSequence(
-                i, f"frame {i} is {f.width}x{f.height}, expected {w}x{h}"
-            )
-
-
 def build_srbi(
     frames,
     grid: BlockGrid,
     cfg: ComparatorConfig,
     max_frames: int = DEFAULT_MAX_FRAMES,
 ) -> BackgroundModel:
-    """Build the SRBI from a frame sequence.
+    """Build the SRBI from a frame sequence (any iterable).
 
-    Consumes at most ``max_frames`` frames. A partial model (coverage < 1)
-    is a normal return, not an error; see ``backfill``.
+    Pulls a frame only when it is compared, and at most ``max_frames`` of
+    them: frames past the point where every cell settled are never read.
+    Each frame is checked against the grid and frame 0 as it arrives. A
+    partial model (coverage < 1) is a normal return, not an error; see
+    ``backfill``.
     """
-    frames = list(frames)
-    _check_frames(frames, grid)
     if max_frames < 2:
         raise ValueError(f"max_frames must be >= 2, got {max_frames}")
     g = grid.g
     status = np.full((g, g), CELL_UNSETTLED, dtype=np.int32)
     pixels = np.zeros((grid.cropped_height, grid.cropped_width), dtype=np.uint8)
     model_blocks = block_view(pixels, grid)
-    limit = min(len(frames), max_frames)
-    consumed = 2  # a single comparison already looks at two frames
-    for t in range(limit - 1):
-        pending = status == CELL_UNSETTLED
-        if not pending.any():
-            consumed = t + 1
+    stream = iter(frames)
+    first = prev = next(stream, None)
+    consumed = 0 if first is None else 1
+    while consumed < max_frames and (pending := status == CELL_UNSETTLED).any():
+        frame = next(stream, None)
+        if frame is None:
             break
-        consumed = t + 2
-        blocks_a = block_view(frames[t], grid)
-        blocks_b = block_view(frames[t + 1], grid)
+        w, h = first.width, first.height  # frame 0 is checked once it has a pair
+        if consumed == 1 and (w < grid.cropped_width or h < grid.cropped_height):
+            raise InconsistentSequence(
+                0, f"frame 0 is {w}x{h}, smaller than the grid extent"
+            )
+        if (frame.width, frame.height) != (w, h):
+            raise InconsistentSequence(
+                consumed,
+                f"frame {consumed} is {frame.width}x{frame.height}, expected {w}x{h}",
+            )
+        blocks_a = block_view(prev, grid)
+        blocks_b = block_view(frame, grid)
         # One grid row of pending blocks per call bounds the temporaries.
         for row in np.flatnonzero(pending.any(axis=1)):
             cols = np.flatnonzero(pending[row])
             scores = score_blocks(blocks_a[row, cols], blocks_b[row, cols], cfg)
             static = cols[scores < cfg.threshold]
             model_blocks[row, static] = blocks_b[row, static]
-            status[row, static] = t + 1
+            status[row, static] = consumed
+        prev = frame
+        consumed += 1
+    if consumed < 2:
+        raise SequenceTooShort(f"need at least 2 frames to build, got {consumed}")
     pixels.setflags(write=False)
     return BackgroundModel(
         grid=grid, pixels=pixels, cell_status=status, built_from=(0, consumed)

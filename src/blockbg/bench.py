@@ -389,7 +389,7 @@ def bench_methods(
         reach = frames_to_reach(model.cell_status, 1.0, grid.g)
         if cov < 1.0:
             model = backfill(model, scene.frames[model.built_from[1] - 1])
-        results = run_detection(model, scene.frames, params, jobs=1)
+        results = run_detection(model, scene.frames, params)
         masks = [m for m, _ in results]
         objects = [
             [o for o in objs if o.label == VEHICLE] for _, objs in results

@@ -13,12 +13,16 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections import deque
+from collections.abc import Iterator
+from itertools import chain, islice
 from pathlib import Path
 
 from . import __version__
 from .background import (
     CELL_UNSETTLED,
     DEFAULT_MAX_FRAMES,
+    BackgroundModel,
     backfill,
     build_srbi,
     coverage,
@@ -40,14 +44,14 @@ from .comparators import (
     ComparatorConfig,
     Method,
 )
-from .errors import ConfigError, PipelineError, SceneSpecError, ShapeMismatch
+from .errors import ConfigError, PipelineError, SceneSpecError
 from .foreground import (
     DEFAULT_MIN_AREA_FRAC,
     DEFAULT_SUBTRACT_SHIFT,
     DEFAULT_WINDOW,
     mask_to_frame,
 )
-from .imaging import DEFAULT_PATTERN, load_sequence, prefilter, save_frame
+from .imaging import DEFAULT_PATTERN, Frame, load_sequence, prefilter, save_frame
 from .pipeline import PipelineParams, resolve_grid, run_detection
 from .validation import HeuristicParams
 
@@ -117,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detect_knobs(p_detect)
     p_detect.add_argument("--rebuild-every", type=int, help=f"rebuild the inline model every N frames (default {DEFAULT_REBUILD_EVERY}, 0 disables)")
     p_detect.add_argument("--out-dir", required=True, help="directory for masks and objects.csv")
-    p_detect.add_argument("--jobs", type=int, help="worker threads over frames (default 1)")
     _add_common(p_detect)
 
     p_bench = sub.add_parser("bench", help="compare all four methods on a synthetic scene")
@@ -135,10 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_entropy.add_argument("--grid-thresholds", help="entropy-delta bands LOW,HIGH")
     _add_common(p_entropy)
 
+    # A config file may set any subcommand's option, so one file serves all.
+    keys = {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
+    parser.set_defaults(config_keys=frozenset(keys))
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, known) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -151,6 +157,8 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"config line {ln}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key.replace("-", "_") not in known:
+            raise ConfigError(f"config line {ln}: unknown key {key!r}")
         cfg[key.replace("-", "_")] = value
     return cfg
 
@@ -174,9 +182,8 @@ class _Resolver:
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
-        self.file_cfg = (
-            _read_config_file(self.args["config"]) if self.args.get("config") else {}
-        )
+        path = self.args.get("config")
+        self.file_cfg = _read_config_file(path, self.args["config_keys"]) if path else {}
         self.effective: dict[str, object] = {}
 
     def get(self, key: str, default, convert=None):
@@ -283,13 +290,6 @@ def _echo_config(effective: dict[str, object], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _jobs(r: _Resolver) -> int:
-    jobs = int(r.get("jobs", 1, int))
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _max_frames(r: _Resolver) -> int:
     max_frames = int(r.get("max_frames", DEFAULT_MAX_FRAMES, int))
     if max_frames < 2:
@@ -297,27 +297,49 @@ def _max_frames(r: _Resolver) -> int:
     return max_frames
 
 
+def _frames(r: _Resolver, directory) -> Iterator[Frame]:
+    """The input frames, each decoded and prefiltered when it is pulled."""
+    kind = r.get("prefilter", "none")
+    if kind not in ("none", "median3"):
+        raise ConfigError(f"unknown prefilter {kind!r}")
+    frames = load_sequence(directory, r.get("pattern", DEFAULT_PATTERN))
+    return (prefilter(f, kind) for f in frames)
+
+
+def _build(
+    frames: Iterator[Frame],
+    pulled,
+    params: PipelineParams,
+    cfg: ComparatorConfig,
+    max_frames: int,
+) -> BackgroundModel:
+    """Build a model from the head of ``frames``; every frame the build
+    pulls is appended to ``pulled``."""
+    head = list(islice(frames, 2))
+    grid = resolve_grid(head, params)
+
+    def pulling() -> Iterator[Frame]:
+        for frame in chain(head, frames):
+            pulled.append(frame)
+            yield frame
+
+    return build_srbi(pulling(), grid, cfg, max_frames=max_frames)
+
+
 def _cmd_model(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     cfg = _comparator_config(r)
     params = _pipeline_params(r)
-    kind = r.get("prefilter", "none")
-    if kind not in ("none", "median3"):
-        raise ConfigError(f"unknown prefilter {kind!r}")
     max_frames = _max_frames(r)
     min_coverage = float(r.get("min_coverage", 1.0, float))
     do_backfill = not bool(r.get("no_backfill", False))
-    pattern = r.get("pattern", DEFAULT_PATTERN)
     out = Path(r.get("out", None))
 
-    frames = load_sequence(args.input, pattern)
-    frames = [prefilter(f, kind) for f in frames]
-    grid = resolve_grid(frames, params)
-    model = build_srbi(frames, grid, cfg, max_frames=max_frames)
-    raw_cov = coverage(model)
-    if do_backfill and raw_cov < 1.0:
+    last = deque(maxlen=1)  # the last frame the build pulled
+    model = _build(_frames(r, args.input), last, params, cfg, max_frames)
+    if do_backfill and coverage(model) < 1.0:
         n = int((model.cell_status == CELL_UNSETTLED).sum())
-        model = backfill(model, frames[model.built_from[1] - 1])
+        model = backfill(model, last[0])
         print(f"backfilled {n} unsettled cell(s) from frame {model.built_from[1] - 1}", file=sys.stderr)
     save_model(model, out)
     _echo_config(r.effective, out.with_name(out.name + ".config.txt"))
@@ -331,76 +353,51 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     cfg = _comparator_config(r)
     params = _pipeline_params(r)
-    kind = r.get("prefilter", "none")
-    if kind not in ("none", "median3"):
-        raise ConfigError(f"unknown prefilter {kind!r}")
     max_frames = _max_frames(r)
     rebuild_every = int(r.get("rebuild_every", DEFAULT_REBUILD_EVERY, int))
     if rebuild_every < 0:
         raise ConfigError(f"rebuild period must be >= 0, got {rebuild_every}")
-    jobs = _jobs(r)
-    pattern = r.get("pattern", DEFAULT_PATTERN)
     model_path = r.get("model", None)
     model_frames = r.get("model_frames", None, int)
+    if model_frames is not None and model_frames < 2:
+        raise ConfigError(f"--model-frames must be >= 2, got {model_frames}")
     out_dir = Path(r.get("out_dir", None))
 
-    frames = load_sequence(args.input, pattern)
-    frames = [prefilter(f, kind) for f in frames]
-
+    frames = _frames(r, args.input)
+    pulled = []  # frames the inline build decoded; detection starts with them
     if model_path is not None:
-        model = load_model(model_path)
-        if (
-            model.grid.cropped_width > frames[0].width
-            or model.grid.cropped_height > frames[0].height
-        ):
-            raise ShapeMismatch(
-                f"model extent {model.grid.cropped_width}x{model.grid.cropped_height} "
-                f"exceeds frame size {frames[0].width}x{frames[0].height}"
-            )
+        model = load_model(model_path)  # frames smaller than it fail in subtract
     else:
-        n = int(model_frames)
-        if n < 2:
-            raise ConfigError(f"--model-frames must be >= 2, got {n}")
-        grid = resolve_grid(frames, params)
-        model = build_srbi(frames[:n], grid, cfg, max_frames=max_frames)
+        model = _build(islice(frames, model_frames), pulled, params, cfg, max_frames)
         if coverage(model) < 1.0:
             k = int((model.cell_status == CELL_UNSETTLED).sum())
-            model = backfill(model, frames[min(n, model.built_from[1]) - 1])
+            model = backfill(model, pulled[-1])
             print(f"backfilled {k} unsettled cell(s)", file=sys.stderr)
 
+    # The last max_frames detected frames, kept only for inline rebuilds.
+    recent = deque(maxlen=max_frames if model_frames is not None and rebuild_every else 0)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    results = []
-    if model_frames is not None and rebuild_every > 0:
-        # chunked run with periodic model refresh
-        pos = 0
-        while pos < len(frames):
-            chunk = frames[pos : pos + rebuild_every]
-            results.extend(run_detection(model, chunk, params, jobs=jobs))
-            pos += len(chunk)
-            if pos < len(frames):
-                tail = frames[max(0, pos - max_frames) : pos]
-                if len(tail) >= 2:
-                    # the model in use is complete, so only complete rebuilds are adopted
-                    model = update_srbi(model, tail, cfg, max_frames=max_frames)
-    else:
-        results = run_detection(model, frames, params, jobs=jobs)
-
-    for i, (mask, objects) in enumerate(results):
-        save_frame(mask_to_frame(mask), out_dir / f"mask_{i:06d}.pgm")
-        for oi, obj in enumerate(objects):
-            rows.append(
-                (i, oi, obj.x, obj.y, obj.w, obj.h, obj.area, obj.label, f"{obj.score:.6f}")
-            )
+    n_frames = n_objects = 0
     with open(out_dir / "objects.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ("frame_index", "object_index", "x", "y", "w", "h", "area", "label", "score")
         )
-        writer.writerows(rows)
+        for i, frame in enumerate(chain(pulled, frames)):
+            if len(recent) >= 2 and i % rebuild_every == 0:
+                # the model in use is complete, so only complete rebuilds are adopted
+                model = update_srbi(model, recent, cfg, max_frames=max_frames)
+            ((mask, objects),) = run_detection(model, [frame], params)
+            save_frame(mask_to_frame(mask), out_dir / f"mask_{i:06d}.pgm")
+            writer.writerows(
+                (i, oi, o.x, o.y, o.w, o.h, o.area, o.label, f"{o.score:.6f}")
+                for oi, o in enumerate(objects)
+            )
+            recent.append(frame)
+            n_frames, n_objects = i + 1, n_objects + len(objects)
     _echo_config(r.effective, out_dir / "config.txt")
-    print(f"frames {len(results)}")
-    print(f"objects {len(rows)}")
+    print(f"frames {n_frames}")
+    print(f"objects {n_objects}")
     return 0
 
 
@@ -409,7 +406,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = _pipeline_params(r)
     max_frames = _max_frames(r)
     iou = float(r.get("iou", 0.5, float))
-    jobs = _jobs(r)
+    jobs = int(r.get("jobs", 1, int))
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     out = Path(r.get("out", None))
     scene_path = r.get("scene", None)
 
@@ -427,11 +426,10 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     low, high = _parse_grid_thresholds(r.get("grid_thresholds", None))
     pattern = r.get("pattern", DEFAULT_PATTERN)
-    frames = load_sequence(args.input, pattern, min_frames=1)
-    values = [entropy_of(f) for f in frames]
+    values = [entropy_of(f) for f in load_sequence(args.input, pattern, min_frames=1)]
     for v in values:
         print(f"{v:.6f}")
-    if len(frames) == 2:
+    if len(values) == 2:
         delta = abs(values[0] - values[1])
         print(f"delta {delta:.6f}")
         print(f"grid {grid_for_delta(delta, low, high)}")

@@ -13,6 +13,7 @@ freely between threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,11 +158,14 @@ def _pattern_regex(pattern: str) -> re.Pattern:
 
 def load_sequence(
     directory, pattern: str = DEFAULT_PATTERN, min_frames: int = 2
-) -> list[Frame]:
-    """Load all frames in ``directory`` matching ``pattern``, ascending index.
+) -> Iterator[Frame]:
+    """Frames in ``directory`` matching ``pattern``, in ascending index.
 
-    Requires at least two frames (``min_frames`` relaxes this for callers
-    that can work on a single image) and consistent dimensions throughout.
+    The files are listed up front, so a sequence of fewer than
+    ``min_frames`` files (default two) raises before anything is decoded.
+    The returned iterator decodes each frame only when it is reached; a
+    frame that cannot be read, or whose dimensions differ from the first
+    frame's, raises there, naming its file.
     """
     rx = _pattern_regex(pattern)
     found = []
@@ -175,20 +179,24 @@ def load_sequence(
             f"found {len(found)} frame(s) matching {pattern!r}; "
             f"need at least {min_frames}"
         )
-    frames = []
+    return _decode(found)
+
+
+def _decode(found: list[tuple[int, Path]]) -> Iterator[Frame]:
     first_dims = None
     for index, entry in found:
-        frame = load_frame(entry)
-        if first_dims is None:
-            first_dims = (frame.width, frame.height)
-        elif (frame.width, frame.height) != first_dims:
+        try:
+            frame = load_frame(entry)
+        except (PnmError, FrameTooSmall) as exc:
+            raise type(exc)(f"{entry}: {exc}") from exc
+        first_dims = first_dims or (frame.width, frame.height)
+        if (frame.width, frame.height) != first_dims:
             raise InconsistentSequence(
                 index,
-                f"frame {index} is {frame.width}x{frame.height}, "
+                f"{entry}: frame {index} is {frame.width}x{frame.height}, "
                 f"expected {first_dims[0]}x{first_dims[1]}",
             )
-        frames.append(frame)
-    return frames
+        yield frame
 
 
 def _median3(px: np.ndarray) -> np.ndarray:

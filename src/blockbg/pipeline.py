@@ -2,12 +2,11 @@
 
 Both the CLI and the benchmark harness run the same chain per frame:
 subtract -> median cleanup -> connected components -> classify. Results
-are deterministic for a given input regardless of the jobs count.
+are deterministic for a given input.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .background import BackgroundModel
@@ -95,10 +94,6 @@ def run_detection(
     model: BackgroundModel,
     frames: list[Frame],
     params: PipelineParams,
-    jobs: int = 1,
 ) -> list[tuple[ForegroundMask, list[DetectedObject]]]:
     """detect_frame over a sequence; output order always matches input."""
-    if jobs <= 1 or len(frames) < 2:
-        return [detect_frame(model, f, params) for f in frames]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda f: detect_frame(model, f, params), frames))
+    return [detect_frame(model, f, params) for f in frames]

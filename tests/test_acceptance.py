@@ -286,7 +286,7 @@ def test_criterion_08_cli_outputs_are_byte_deterministic(tmp_path):
         assert main([
             "detect", "--input", str(frames_dir), "--model-frames", "2",
             "--method", "absdiff", "--grid", "8",
-            "--out-dir", str(detect_dir), "--jobs", jobs,
+            "--out-dir", str(detect_dir),
         ]) == 0
         assert main([
             "bench", "--scene", str(scene_path), "--out",
@@ -309,7 +309,7 @@ def test_criterion_08_cli_outputs_are_byte_deterministic(tmp_path):
     n = len(trees[("1", "a")])
     print(
         f"criterion 8: PASS - model/detect/bench outputs ({n} files) "
-        "byte-identical across reruns and across --jobs 1 vs 4"
+        "byte-identical across reruns and across bench --jobs 1 vs 4"
     )
 
 
@@ -355,7 +355,7 @@ def test_criterion_10_hot_path_meets_the_time_budget():
     start = time.perf_counter()
     grid = resolve_grid(scene.frames, params)
     model = build_srbi(scene.frames, grid, cfg)
-    results = run_detection(model, scene.frames, params, jobs=1)
+    results = run_detection(model, scene.frames, params)
     elapsed = time.perf_counter() - start
     assert len(results) == 60
     assert elapsed < 2.0, elapsed

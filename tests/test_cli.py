@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import blockbg.imaging
 from blockbg.background import load_model
 from blockbg.bench import Mover, SceneSpec, write_scene_file
 from blockbg.cli import main
@@ -83,6 +84,29 @@ def test_model_builds_from_a_static_sequence(tmp_path, capsys):
     model = load_model(out)
     assert np.array_equal(model.pixels, texture(60, 32, 32))
     assert (model.cell_status == 1).all()
+
+
+def truncate(path):
+    """Cut a PGM's payload short, leaving its header intact."""
+    path.write_bytes(path.read_bytes()[:-7])
+
+
+def test_model_decodes_only_the_frames_it_consumes(tmp_path, capsys, monkeypatch):
+    frames = static_dir(tmp_path, count=6)  # every cell settles at pair 1
+    truncate(frames / "000004.pgm")  # past the settle point: never read
+    decoded = []
+    load_frame = blockbg.imaging.load_frame
+    monkeypatch.setattr(
+        blockbg.imaging, "load_frame", lambda path: decoded.append(path) or load_frame(path)
+    )
+    out = tmp_path / "model.pgm"
+    code, stdout, _ = run(
+        capsys, "model", "--input", str(frames), "--out", str(out),
+        "--method", "absdiff", "--grid", "8",
+    )
+    assert code == 0
+    assert "frames_consumed 2" in stdout
+    assert [p.name for p in decoded] == ["000000.pgm", "000001.pgm"]
 
 
 def flicker_dir(tmp_path):
@@ -185,24 +209,19 @@ def test_detect_rebuild_cycle_matches_single_model_run(tmp_path, capsys):
         assert (plain / name).read_bytes() == (cycled / name).read_bytes()
 
 
-def test_detect_outputs_identical_across_jobs(tmp_path, capsys):
+def test_detect_writes_masks_up_to_a_bad_frame(tmp_path, capsys):
     frames = mover_dir(tmp_path)
-    outs = []
-    for jobs in ("1", "4"):
-        out_dir = tmp_path / f"jobs{jobs}"
-        code, _, _ = run(
-            capsys, "detect", "--input", str(frames), "--model-frames", "2",
-            "--method", "absdiff", "--grid", "8", "--out-dir", str(out_dir),
-            "--jobs", jobs,
-        )
-        assert code == 0
-        outs.append(out_dir)
-    a, b = outs
-    assert (a / "objects.csv").read_bytes() == (b / "objects.csv").read_bytes()
-    assert (a / "config.txt").read_bytes() == (b / "config.txt").read_bytes()
-    for i in range(8):
-        name = f"mask_{i:06d}.pgm"
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    truncate(frames / "000005.pgm")
+    out_dir = tmp_path / "out"
+    code, _, stderr = run(
+        capsys, "detect", "--input", str(frames), "--model-frames", "2",
+        "--method", "absdiff", "--grid", "8", "--rebuild-every", "3",
+        "--out-dir", str(out_dir),
+    )
+    assert code == 1
+    assert "000005.pgm" in stderr and "truncated" in stderr
+    written = sorted(p.name for p in out_dir.glob("mask_*.pgm"))
+    assert written == [f"mask_{i:06d}.pgm" for i in range(5)]
 
 
 # --- bench ---
@@ -325,6 +344,23 @@ def test_config_file_validation(tmp_path, capsys):
     assert code == 2
     assert "config line 1" in stderr
 
+    cfg.write_text("method=absdiff\nthresold=3.0\n")  # misspelt key
+    code, _, stderr = run(
+        capsys, "model", "--input", str(frames), "--out", str(out),
+        "--config", str(cfg),
+    )
+    assert code == 2
+    assert "config line 2: unknown key 'thresold'" in stderr
+    assert not out.exists()
+
+    # a key of another subcommand is accepted: one file serves model and detect
+    cfg.write_text("method=absdiff\nrebuild-every=5\n")
+    code, _, _ = run(
+        capsys, "model", "--input", str(frames), "--out", str(out),
+        "--config", str(cfg), "--grid", "8",
+    )
+    assert code == 0
+
 
 # --- exit codes on bad input ---
 
@@ -348,6 +384,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(detect + ["--model-frames", "1"]) == 2
     assert main(detect + ["--subtract-shift", "9"]) == 2
     assert main(detect + ["--jobs", "0"]) == 2
+    assert main(detect + ["--jobs", "2"]) == 2  # detect runs on one thread
     capsys.readouterr()
 
 

@@ -1,0 +1,72 @@
+"""Golden outputs: the CLI writes the same bytes on the committed scenes.
+
+Each scene file in ``tests/golden`` is rendered to a frame directory and
+run through ``model --max-frames 8``, ``detect --model`` (on the saved model),
+``detect --model-frames 10 --rebuild-every 5`` and ``bench``. The SHA-256
+of every file those commands write must equal the digest recorded in
+``tests/golden/digests.json``. A change that moves a digest changes
+behaviour and must say why; re-record with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from blockbg.bench import gen_scene, parse_scene_file
+from blockbg.cli import main
+from blockbg.imaging import save_frame
+
+GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = GOLDEN / "digests.json"
+SCENES = ("reference_sigma5", "mover_from_start")
+
+
+def scene_outputs(name: str, root: Path) -> dict[str, str]:
+    """Run the four commands on one scene; SHA-256 of each output file."""
+    scene = GOLDEN / f"{name}.scene"
+    frames = root / "frames"
+    frames.mkdir(parents=True)
+    for t, frame in enumerate(gen_scene(parse_scene_file(scene)).frames):
+        save_frame(frame, frames / f"{t:06d}.pgm")
+    model = root / "model" / "model.pgm"
+    model.parent.mkdir()
+    (root / "bench").mkdir()
+    commands = (
+        ["model", "--input", frames, "--out", model, "--max-frames", "8"],
+        ["detect", "--input", frames, "--model", model, "--out-dir", root / "detect_model"],
+        ["detect", "--input", frames, "--model-frames", "10", "--rebuild-every", "5",
+         "--out-dir", root / "detect_rebuild"],
+        ["bench", "--scene", scene, "--out", root / "bench" / "report.csv"],
+    )
+    for argv in commands:
+        assert main([str(a) for a in argv]) == 0, argv
+    return {
+        f"{name}/{path.relative_to(root).as_posix()}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for sub in ("model", "detect_model", "detect_rebuild", "bench")
+        for path in sorted((root / sub).iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_outputs_match_recorded_digests(name, tmp_path, capsys):
+    want = {k: v for k, v in json.loads(DIGESTS.read_text()).items() if k.startswith(f"{name}/")}
+    got = scene_outputs(name, tmp_path)
+    capsys.readouterr()
+    assert sorted(got) == sorted(want)
+    changed = [k for k in want if got[k] != want[k]]
+    assert not changed, f"{len(changed)} output(s) changed, first {changed[0]}"
+
+
+if __name__ == "__main__":
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SCENES:
+            digests.update(scene_outputs(name, Path(tmp) / name))
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(digests)} digests to {DIGESTS}", file=sys.stderr)

@@ -181,7 +181,7 @@ def test_save_into_missing_directory_fails(tmp_path):
 def test_sequence_loads_in_index_order(tmp_path):
     arrays = [np.full((16, 16), 10 * i, dtype=np.uint8) for i in range(1, 6)]
     write_frames(tmp_path, arrays, start=1)
-    frames = load_sequence(tmp_path)
+    frames = list(load_sequence(tmp_path))
     assert len(frames) == 5
     assert [int(f.pixels[0, 0]) for f in frames] == [10, 20, 30, 40, 50]
 
@@ -201,7 +201,7 @@ def test_sequence_needs_two_frames(tmp_path):
 
 def test_sequence_min_frames_relaxation(tmp_path):
     write_frames(tmp_path, [texture(6, 16, 16)])
-    assert len(load_sequence(tmp_path, min_frames=1)) == 1
+    assert len(list(load_sequence(tmp_path, min_frames=1))) == 1
 
 
 def test_sequence_dimension_mismatch_names_the_index(tmp_path):
@@ -209,13 +209,13 @@ def test_sequence_dimension_mismatch_names_the_index(tmp_path):
     save_frame(frame_of(texture(9, 20, 20)), tmp_path / "000002.pgm")
     write_frames(tmp_path, [texture(10, 16, 16)], start=3)
     with pytest.raises(InconsistentSequence) as exc_info:
-        load_sequence(tmp_path)
+        list(load_sequence(tmp_path))
     assert exc_info.value.index == 2
 
 
 def test_sequence_custom_pattern(tmp_path):
     write_frames(tmp_path, [texture(11, 16, 16), texture(12, 16, 16)], pattern="img_%03d.pgm")
-    assert len(load_sequence(tmp_path, "img_%03d.pgm")) == 2
+    assert len(list(load_sequence(tmp_path, "img_%03d.pgm"))) == 2
 
 
 def test_sequence_pattern_without_field_is_rejected(tmp_path):
