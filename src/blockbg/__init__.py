@@ -59,7 +59,6 @@ from .errors import PipelineError
 from .foreground import (
     DetectedObject,
     ForegroundMask,
-    apply_mask,
     connected_components,
     make_mask,
     median_filter_mask,

@@ -46,9 +46,6 @@ class BackgroundModel:
     cell_status: np.ndarray  # (g, g) int32
     built_from: tuple[int, int]
 
-    def block(self, row: int, col: int) -> np.ndarray:
-        return block_view(self.pixels, self.grid)[row, col]
-
 
 def coverage(model: BackgroundModel) -> float:
     """Fraction of cells that are settled or backfilled."""

@@ -29,7 +29,7 @@ from .errors import SceneSpecError
 from .foreground import DetectedObject, ForegroundMask
 from .imaging import Frame
 from .pipeline import PipelineParams, resolve_grid, run_detection
-from .validation import VEHICLE
+from .validation import VEHICLE, validate
 
 # Reference detection accuracy of the original four-method evaluation,
 # best to worst. Only the ordering is meaningful here.
@@ -305,32 +305,16 @@ class BenchRow:
     frames_to_cover: int
 
 
-def _truth_gate(w: int, h: int, min_area: float, frame_area: int, params: PipelineParams) -> bool:
-    """Mirror of the prediction-side gates for a solid truth rectangle.
-
-    Truth boxes the detector is configured to reject (too small, wrong
-    aspect, out-of-band area) are not scoring targets, otherwise every
-    mover entering the frame edge would charge the method an unavoidable
-    miss during its sliver frames.
-    """
-    area = w * h
-    if area < min_area:
-        return False
-    if not params.validate:
-        return True
-    hp = params.heuristic
-    aspect = w / h
-    frac = area / frame_area
-    return (
-        hp.aspect_min <= aspect <= hp.aspect_max
-        and hp.area_min_frac <= frac <= hp.area_max_frac
-    )
-
-
 def truth_boxes_for(
     spec: SceneSpec, grid_w: int, grid_h: int, params: PipelineParams
 ) -> list[list[tuple[int, int, int, int]]]:
-    """Per-frame clipped mover boxes, gated like predictions are."""
+    """Per-frame clipped mover boxes, gated like predictions are.
+
+    Truth boxes the detector is configured to reject (too small, or a
+    solid rectangle the heuristic labels non-vehicle) are not scoring
+    targets, otherwise every mover entering the frame edge would charge
+    the method an unavoidable miss during its sliver frames.
+    """
     frame_area = grid_w * grid_h
     min_area = params.resolved_min_area(frame_area)
     out = []
@@ -342,8 +326,12 @@ def truth_boxes_for(
                 continue
             x0, y0, x1, y1 = rect
             w, h = x1 - x0, y1 - y0
-            if _truth_gate(w, h, min_area, frame_area, params):
-                boxes.append((x0, y0, w, h))
+            solid = DetectedObject(x0, y0, w, h, w * h, 0.0, 0.0)
+            if solid.area >= min_area and (
+                not params.validate
+                or validate(solid, params.heuristic, frame_area).label == VEHICLE
+            ):
+                boxes.append(solid.bbox)
         out.append(boxes)
     return out
 

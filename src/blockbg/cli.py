@@ -46,7 +46,6 @@ from .comparators import (
 )
 from .errors import ConfigError, PipelineError, SceneSpecError
 from .foreground import (
-    DEFAULT_MIN_AREA_FRAC,
     DEFAULT_SUBTRACT_SHIFT,
     DEFAULT_WINDOW,
     mask_to_frame,
@@ -297,13 +296,20 @@ def _max_frames(r: _Resolver) -> int:
     return max_frames
 
 
+def _sequence(r: _Resolver, directory, min_frames: int = 2) -> Iterator[Frame]:
+    """load_sequence with the configured pattern."""
+    try:
+        return load_sequence(directory, r.get("pattern", DEFAULT_PATTERN), min_frames)
+    except ValueError as exc:  # the pattern has no %d field
+        raise ConfigError(str(exc)) from exc
+
+
 def _frames(r: _Resolver, directory) -> Iterator[Frame]:
     """The input frames, each decoded and prefiltered when it is pulled."""
     kind = r.get("prefilter", "none")
     if kind not in ("none", "median3"):
         raise ConfigError(f"unknown prefilter {kind!r}")
-    frames = load_sequence(directory, r.get("pattern", DEFAULT_PATTERN))
-    return (prefilter(f, kind) for f in frames)
+    return (prefilter(f, kind) for f in _sequence(r, directory))
 
 
 def _build(
@@ -332,6 +338,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
     params = _pipeline_params(r)
     max_frames = _max_frames(r)
     min_coverage = float(r.get("min_coverage", 1.0, float))
+    if not 0 <= min_coverage <= 1:
+        raise ConfigError(f"min coverage must be in [0, 1], got {min_coverage}")
     do_backfill = not bool(r.get("no_backfill", False))
     out = Path(r.get("out", None))
 
@@ -406,6 +414,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = _pipeline_params(r)
     max_frames = _max_frames(r)
     iou = float(r.get("iou", 0.5, float))
+    if not 0 < iou <= 1:
+        raise ConfigError(f"iou must be in (0, 1], got {iou}")
     jobs = int(r.get("jobs", 1, int))
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -425,8 +435,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_entropy(args: argparse.Namespace) -> int:
     r = _Resolver(args)
     low, high = _parse_grid_thresholds(r.get("grid_thresholds", None))
-    pattern = r.get("pattern", DEFAULT_PATTERN)
-    values = [entropy_of(f) for f in load_sequence(args.input, pattern, min_frames=1)]
+    values = [entropy_of(f) for f in _sequence(r, args.input, min_frames=1)]
     for v in values:
         print(f"{v:.6f}")
     if len(values) == 2:

@@ -87,19 +87,17 @@ def median_filter_mask(bits: np.ndarray, window: int = DEFAULT_WINDOW) -> np.nda
         raise ValueError("mask bits must be a non-empty 2-D array")
     h, w = bits.shape
     r = window // 2
-    # summed-area table: P[y, x] = sum of bits[:y, :x]
-    p = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(bits, axis=0), axis=1, out=p[1:, 1:])
-    ys = np.arange(h)
-    xs = np.arange(w)
-    y0 = np.maximum(ys - r, 0)
-    y1 = np.minimum(ys + r, h - 1) + 1
-    x0 = np.maximum(xs - r, 0)
-    x1 = np.minimum(xs + r, w - 1) + 1
-    ones = (
-        p[np.ix_(y1, x1)] - p[np.ix_(y0, x1)] - p[np.ix_(y1, x0)] + p[np.ix_(y0, x0)]
-    )
-    in_bounds = (y1 - y0)[:, None] * (x1 - x0)[None, :]
+    # Summed-area table P[y, x] = sum of bits[:y, :x], edge-padded by r so
+    # that index i + r reads P[clip(i)]: windows clip to bounds for free.
+    # uint32 sums wrap past 2**32 set pixels, but each window's four-term
+    # difference is exact modulo 2**32.
+    p = np.zeros((h + 1, w + 1), dtype=np.uint32)
+    np.cumsum(np.cumsum(bits, axis=0, dtype=np.uint32), axis=1, out=p[1:, 1:])
+    p = np.pad(p, r, mode="edge")
+    ones = p[window:, window:] - p[:-window, window:] - p[window:, :-window] + p[:-window, :-window]
+    rows = np.pad(np.arange(h + 1), r, mode="edge")
+    cols = np.pad(np.arange(w + 1), r, mode="edge")
+    in_bounds = (rows[window:] - rows[:-window])[:, None] * (cols[window:] - cols[:-window])
     return (2 * ones > in_bounds).astype(np.uint8)
 
 
@@ -111,20 +109,6 @@ def make_mask(
 ) -> ForegroundMask:
     """subtract + median cleanup in one step."""
     return ForegroundMask(median_filter_mask(subtract(model, frame, shift), window))
-
-
-def apply_mask(frame: Frame, mask: ForegroundMask) -> Frame:
-    """Keep frame pixels where the mask is set, zero elsewhere.
-
-    The output has the mask's (cropped) dimensions; the frame must cover it.
-    """
-    if frame.height < mask.height or frame.width < mask.width:
-        raise ShapeMismatch(
-            f"frame {frame.width}x{frame.height} smaller than mask "
-            f"{mask.width}x{mask.height}"
-        )
-    window = frame.pixels[: mask.height, : mask.width]
-    return Frame(window * mask.bits)
 
 
 @dataclass(frozen=True)
@@ -151,57 +135,79 @@ class DetectedObject:
         return (self.x, self.y, self.w, self.h)
 
 
-_NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-
-
 def connected_components(mask: ForegroundMask, min_area: float = 0.0) -> list[DetectedObject]:
     """8-connected components with at least ``min_area`` pixels.
 
-    Objects come back sorted by (bbox.y, bbox.x); ties keep discovery order.
+    Objects come back sorted by (bbox.y, bbox.x); ties keep raster order
+    of their first pixel.
     """
     if min_area < 0:
         raise ValueError(f"min_area must be >= 0, got {min_area}")
-    bits = mask.bits
-    h, w = bits.shape
-    seen = np.zeros((h, w), dtype=bool)
-    objects = []
-    for sy, sx in np.argwhere(bits == 1):
-        if seen[sy, sx]:
-            continue
-        stack = [(int(sy), int(sx))]
-        seen[sy, sx] = True
-        area = 0
-        min_x = min_y = 1 << 30
-        max_x = max_y = -1
-        sum_x = sum_y = 0
-        while stack:
-            y, x = stack.pop()
-            area += 1
-            sum_x += x
-            sum_y += y
-            min_x = min(min_x, x)
-            max_x = max(max_x, x)
-            min_y = min(min_y, y)
-            max_y = max(max_y, y)
-            for dy, dx in _NEIGHBORS:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and bits[ny, nx] and not seen[ny, nx]:
-                    seen[ny, nx] = True
-                    stack.append((ny, nx))
-        if area >= min_area:
-            objects.append(
-                DetectedObject(
-                    x=min_x,
-                    y=min_y,
-                    w=max_x - min_x + 1,
-                    h=max_y - min_y + 1,
-                    area=area,
-                    centroid_x=sum_x / area,
-                    centroid_y=sum_y / area,
-                )
-            )
-    objects.sort(key=lambda o: (o.y, o.x))
-    return objects
+    h, w = mask.bits.shape
+    # Horizontal runs in raster order as row-major keys y*stride + x over
+    # rows with a zero pad column: run i covers keys [start[i], end[i]).
+    stride = w + 1
+    padded = np.zeros((h, stride), dtype=np.int8)
+    padded[:, :w] = mask.bits
+    edges = np.diff(padded.ravel(), prepend=np.int8(0))
+    start = np.flatnonzero(edges == 1)
+    end = np.flatnonzero(edges == -1)
+    n = len(start)
+    if n == 0:
+        return []
+
+    # The runs of the row above that touch run i 8-connectedly are the
+    # consecutive runs [lo[i], hi[i]): those that end (exclusive) at or
+    # right of run i's first column and start at or left of its end.
+    lo = np.searchsorted(end, start - stride)
+    hi = np.searchsorted(start, end - stride, side="right")
+    count = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(n), count)
+    b = np.arange(len(a)) + np.repeat(lo - (np.cumsum(count) - count), count)
+
+    # Hook the larger root of every joined pair to the smaller, then
+    # flatten fully, until each run points at its component's first run.
+    parent = np.arange(n)
+    while len(a):
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+
+    first = np.flatnonzero(parent == np.arange(n))
+    label = np.searchsorted(first, parent)
+    # Exact integer sums in float64 (well below 2**53), so each centroid
+    # is one correctly rounded division, as with Python ints.
+    y, x0 = np.divmod(start, stride)
+    x1 = end - y * stride
+    length = x1 - x0
+    area = np.bincount(label, length)
+    sum_x = np.bincount(label, (x0 + x1 - 1) * length // 2)
+    sum_y = np.bincount(label, y * length)
+    min_x = np.full(len(first), w)
+    np.minimum.at(min_x, label, x0)
+    end_x = np.zeros(len(first), dtype=np.int64)
+    np.maximum.at(end_x, label, x1)
+    min_y = y[first]
+    max_y = np.zeros(len(first), dtype=np.int64)
+    np.maximum.at(max_y, label, y)
+
+    keep = np.flatnonzero(area >= min_area)
+    keep = keep[np.lexsort((min_x[keep], min_y[keep]))]  # stable: ties stay in label order
+    return [
+        DetectedObject(
+            x=int(min_x[k]),
+            y=int(min_y[k]),
+            w=int(end_x[k] - min_x[k]),
+            h=int(max_y[k] - min_y[k] + 1),
+            area=int(area[k]),
+            centroid_x=float(sum_x[k] / area[k]),
+            centroid_y=float(sum_y[k] / area[k]),
+        )
+        for k in keep
+    ]
 
 
 def mask_to_frame(mask: ForegroundMask) -> Frame:

@@ -24,7 +24,6 @@ from .foreground import (
     DEFAULT_WINDOW,
     DetectedObject,
     ForegroundMask,
-    apply_mask,
     connected_components,
     make_mask,
 )
@@ -42,8 +41,7 @@ class PipelineParams:
     grid_high: float = DELTA_H_HIGH
     subtract_shift: int = DEFAULT_SUBTRACT_SHIFT
     window: int = DEFAULT_WINDOW
-    min_area: float | None = None  # None = min_area_frac of the cropped area
-    min_area_frac: float = DEFAULT_MIN_AREA_FRAC
+    min_area: float | None = None  # None = DEFAULT_MIN_AREA_FRAC of the cropped area
     validate: bool = True
     heuristic: HeuristicParams = field(default_factory=HeuristicParams)
 
@@ -58,7 +56,7 @@ class PipelineParams:
     def resolved_min_area(self, cropped_area: int) -> float:
         if self.min_area is not None:
             return self.min_area
-        return self.min_area_frac * cropped_area
+        return DEFAULT_MIN_AREA_FRAC * cropped_area
 
 
 def resolve_grid(frames: list[Frame], params: PipelineParams) -> BlockGrid:
@@ -82,9 +80,7 @@ def detect_frame(
     cropped_area = mask.width * mask.height
     objects = connected_components(mask, params.resolved_min_area(cropped_area))
     if params.validate:
-        if objects:
-            masked = apply_mask(frame, mask)
-            objects = classify_all(objects, masked, params.heuristic)
+        objects = classify_all(objects, cropped_area, params.heuristic)
     else:
         objects = [replace(o, label=VEHICLE, score=1.0) for o in objects]
     return mask, objects

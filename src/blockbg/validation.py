@@ -1,24 +1,17 @@
 """Object validation: is a detected blob plausibly a vehicle?
 
-The default classifier is a geometric heuristic over the object's bbox:
+The classifier is a geometric heuristic over the object's bbox:
 aspect ratio, fill ratio, and frame-area fraction each have an accepted
 band. The label comes from hard (inclusive) band membership; the score is
 the product of three sub-scores that are 1.0 comfortably inside a band
 and ramp linearly to 0 at its edge over a 10% (relative) margin.
-
-Any callable with the classifier signature can replace the heuristic, so
-a learned model can slot in without touching the pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
-
-import numpy as np
 
 from .foreground import DetectedObject
-from .imaging import Frame
 
 VEHICLE = "vehicle"
 NON_VEHICLE = "non-vehicle"
@@ -47,8 +40,6 @@ class ClassifierVerdict:
     score: float
 
 
-Classifier = Callable[[np.ndarray, DetectedObject], ClassifierVerdict]
-
 _RAMP = 0.1  # relative width of the edge ramp
 
 
@@ -61,18 +52,8 @@ def _edge_ramp(x: float, lo: float, hi: float | None) -> float:
     return max(0.0, min(1.0, s))
 
 
-def validate(
-    object_image: np.ndarray,
-    obj: DetectedObject,
-    params: HeuristicParams,
-    frame_area: int,
-) -> ClassifierVerdict:
-    """Geometric heuristic verdict for one object.
-
-    ``object_image`` (the masked bbox crop) is unused here but part of the
-    classifier signature so pixel-based classifiers are drop-in.
-    """
-    del object_image
+def validate(obj: DetectedObject, params: HeuristicParams, frame_area: int) -> ClassifierVerdict:
+    """Geometric heuristic verdict for one object."""
     if obj.w <= 0 or obj.h <= 0 or frame_area <= 0:
         return ClassifierVerdict(NON_VEHICLE, 0.0)
     aspect = obj.w / obj.h
@@ -91,28 +72,16 @@ def validate(
     return ClassifierVerdict(VEHICLE if ok else NON_VEHICLE, score)
 
 
-def crop_object(masked_frame: Frame, obj: DetectedObject) -> np.ndarray:
-    """The object's bbox cut out of the masked frame (read-only view)."""
-    return masked_frame.pixels[obj.y : obj.y + obj.h, obj.x : obj.x + obj.w]
-
-
 def classify_all(
     objects: list[DetectedObject],
-    masked_frame: Frame,
+    frame_area: int,
     params: HeuristicParams | None = None,
-    classifier: Classifier | None = None,
 ) -> list[DetectedObject]:
     """Label every object, preserving order. Objects are returned as
     labeled copies; inputs are never mutated."""
-    if classifier is None:
-        p = params if params is not None else HeuristicParams()
-        frame_area = masked_frame.width * masked_frame.height
-
-        def classifier(img, obj):
-            return validate(img, obj, p, frame_area)
-
+    p = params if params is not None else HeuristicParams()
     out = []
     for obj in objects:
-        verdict = classifier(crop_object(masked_frame, obj), obj)
+        verdict = validate(obj, p, frame_area)
         out.append(replace(obj, label=verdict.label, score=verdict.score))
     return out

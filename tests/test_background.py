@@ -14,7 +14,7 @@ from blockbg.background import (
     update_srbi,
 )
 from blockbg.bench import Mover, SceneSpec, gen_scene
-from blockbg.blocks import extract_block, make_grid
+from blockbg.blocks import block_view, extract_block, make_grid
 from blockbg.comparators import Method, Verdict, compare, default_config
 from blockbg.errors import InconsistentSequence, PnmError, SequenceTooShort
 
@@ -202,7 +202,8 @@ def test_settled_blocks_match_their_settle_frame():
             s = int(model.cell_status[r, c])
             assert s >= 0
             assert np.array_equal(
-                model.block(r, c), extract_block(scene.frames[s], grid, r, c)
+                block_view(model.pixels, grid)[r, c],
+                extract_block(scene.frames[s], grid, r, c),
             )
 
 

@@ -374,6 +374,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(base + ["--max-frames", "1"]) == 2
     assert main(base + ["--grid", "9"]) == 2
     capsys.readouterr()
+    entropy = ["entropy", "--input", str(frames)]
+    bench = [
+        "bench", "--scene", str(bench_scene_path(tmp_path)),
+        "--out", str(tmp_path / "r.csv"),
+    ]
+    for argv, named in (
+        (base + ["--pattern", "frame.pgm"], "'frame.pgm' has no %d field"),
+        (entropy + ["--pattern", "frame.pgm"], "'frame.pgm' has no %d field"),
+        (base + ["--min-coverage", "-3"], "got -3.0"),
+        (base + ["--min-coverage", "1.5"], "got 1.5"),
+        (bench + ["--iou", "7"], "got 7.0"),
+        (bench + ["--iou", "0"], "got 0.0"),
+    ):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2 and named in stderr, argv
     out_dir = tmp_path / "out"
     detect = [
         "detect", "--input", str(frames), "--model-frames", "2",

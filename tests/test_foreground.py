@@ -1,5 +1,6 @@
 """Subtraction, mask cleanup, connected components, mask codecs."""
 
+import time
 from collections import deque
 
 import numpy as np
@@ -12,7 +13,6 @@ from blockbg.errors import ModelIncomplete, PnmError, ShapeMismatch
 from blockbg.foreground import (
     DetectedObject,
     ForegroundMask,
-    apply_mask,
     connected_components,
     frame_to_mask,
     make_mask,
@@ -239,24 +239,6 @@ def test_make_mask_ignores_sensor_noise():
         assert not mask.bits.any()
 
 
-# --- apply_mask ---
-
-
-def test_apply_mask_zeroes_background():
-    base = texture(43, 16, 16, lo=1, hi=256)
-    bits = np.zeros((16, 16), dtype=np.uint8)
-    bits[3:7, 2:9] = 1
-    cut = apply_mask(frame_of(base), ForegroundMask(bits))
-    assert np.array_equal(cut.pixels[3:7, 2:9], base[3:7, 2:9])
-    assert cut.pixels[bits == 0].sum() == 0
-
-
-def test_apply_mask_rejects_undersized_frame():
-    bits = np.zeros((32, 32), dtype=np.uint8)
-    with pytest.raises(ShapeMismatch):
-        apply_mask(frame_of(texture(44, 16, 16)), ForegroundMask(bits))
-
-
 # --- mask container ---
 
 
@@ -315,20 +297,118 @@ def test_components_sorted_by_row_then_column():
     assert [(o.y, o.x) for o in objs] == [(1, 14), (3, 2), (3, 10)]
 
 
+def art(*rows):
+    """A mask drawn with '#' for set pixels."""
+    return np.array([[c == "#" for c in row] for row in rows], dtype=np.uint8)
+
+
+def comb(h, w, spine_row):
+    """Every other column set, joined by one full row."""
+    bits = np.zeros((h, w), dtype=np.uint8)
+    bits[:, ::2] = 1
+    bits[spine_row] = 1
+    return bits
+
+
+def spiral(n):
+    """A one-pixel square spiral with one-pixel gaps between its turns."""
+    bits = np.zeros((n, n), dtype=np.uint8)
+    y = x = 0
+    bits[0, 0] = 1
+    steps = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in (0, 1)]
+    for i, k in enumerate(steps):
+        dy, dx = ((0, 1), (1, 0), (0, -1), (-1, 0))[i % 4]
+        for _ in range(k):
+            y, x = y + dy, x + dx
+            bits[y, x] = 1
+    return bits
+
+
+def stairs(n, step, gap, leftward=False):
+    """Row r holds a run of ``step`` pixels starting ``gap`` columns past
+    the end of row r-1's run; gap 0 touches only diagonally."""
+    bits = np.zeros((n, n * (step + gap)), dtype=np.uint8)
+    for r in range(n):
+        bits[r, r * (step + gap) : r * (step + gap) + step] = 1
+    return bits[:, ::-1] if leftward else bits
+
+
+def edge_runs():
+    bits = np.zeros((8, 9), dtype=np.uint8)
+    bits[2, -2:] = 1  # ends at the right edge ...
+    bits[3, :2] = 1  # ... and the next row starts at the left: not touching
+    bits[-1, 4:] = 1  # along the bottom-right corner
+    bits[-4:, -1] = 1
+    return bits
+
+
+LABELLER_CASES = (
+    np.ones((1, 1), dtype=np.uint8),
+    np.ones((1, 7), dtype=np.uint8),
+    np.ones((7, 1), dtype=np.uint8),
+    np.ones((5, 6), dtype=np.uint8),
+    np.tile(np.uint8([[1], [0]]), (4, 9))[:7],  # 1-px rows
+    np.tile(np.uint8([1, 0]), (9, 4))[:, :7],  # 1-px columns
+    edge_runs(),
+    comb(10, 11, -1),
+    comb(10, 12, -1),
+    comb(10, 11, 0),
+    spiral(15),
+    spiral(16),
+    np.eye(9, dtype=np.uint8),
+    np.eye(9, dtype=np.uint8)[:, ::-1],
+    stairs(6, 2, 0),
+    stairs(6, 2, 0, leftward=True),
+    stairs(6, 2, 1),
+    stairs(6, 2, 1, leftward=True),
+    art(
+        "#..#",  # a lone pixel and a staircase share bbox (y, x) = (0, 0)
+        "..#.",
+        ".#..",
+        "#...",
+    ),
+    art(
+        "......#",  # U whose first run is its right arm, not its leftmost
+        "..#...#",
+        "..#...#",
+        "..#####",
+    ),
+    art(
+        "..#....#",  # W: three arms that merge only on the bottom rows
+        "#.#..#.#",
+        "#.#..#.#",
+        "#.####.#",
+        "########",
+    ),
+)
+
+
 def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(45)
-    for trial in range(20):
-        bits = (rng.random((64, 64)) < 0.35).astype(np.uint8)
+    random_masks = [(rng.random((64, 64)) < 0.35).astype(np.uint8) for _ in range(20)]
+    for case, bits in enumerate(random_masks + list(LABELLER_CASES)):
         objs = connected_components(ForegroundMask(bits))
-        want = sorted(summarize(px) for px in flood_components(bits))
-        got = sorted(
-            (o.x, o.y, o.w, o.h, o.area, o.centroid_x, o.centroid_y) for o in objs
+        # flood_components discovers in raster order; the sort is stable
+        want = sorted(
+            (summarize(px) for px in flood_components(bits)), key=lambda c: (c[1], c[0])
         )
-        assert got == want, trial
+        got = [(o.x, o.y, o.w, o.h, o.area, o.centroid_x, o.centroid_y) for o in objs]
+        assert got == want, case
         assert sum(o.area for o in objs) == int(bits.sum())
         for o in objs:
             assert o.x <= o.centroid_x <= o.x + o.w - 1
             assert o.y <= o.centroid_y <= o.y + o.h - 1
+
+
+def test_components_label_a_720p_comb_within_budget():
+    # The comb joins 640 columns through its last row, so a labeller that
+    # spreads labels one step per pass (or floods per pixel) is too slow.
+    mask = ForegroundMask(comb(720, 1280, -1))
+    start = time.perf_counter()
+    objs = connected_components(mask)
+    elapsed = time.perf_counter() - start
+    assert [(o.bbox, o.area) for o in objs] == [((0, 0, 1280, 720), 640 * 719 + 1280)]
+    assert elapsed < 2.0, elapsed
 
 
 def test_components_empty_mask_yields_nothing():

@@ -1,20 +1,17 @@
-"""Geometric object validation and classifier plug-in points."""
+"""Geometric object validation."""
 
 import numpy as np
 import pytest
 
-from blockbg.foreground import DetectedObject, ForegroundMask, apply_mask, connected_components
+from blockbg.foreground import DetectedObject, ForegroundMask, connected_components
 from blockbg.validation import (
     NON_VEHICLE,
     VEHICLE,
     ClassifierVerdict,
     HeuristicParams,
     classify_all,
-    crop_object,
     validate,
 )
-
-from helpers import frame_of, texture
 
 PARAMS = HeuristicParams()
 FRAME_AREA = 400 * 400
@@ -29,8 +26,7 @@ def solid(w, h, area=None):
 
 
 def verdict_of(obj, params=PARAMS, frame_area=FRAME_AREA):
-    img = np.zeros((obj.h, obj.w), dtype=np.uint8)
-    return validate(img, obj, params, frame_area)
+    return validate(obj, params, frame_area)
 
 
 # --- band membership ---
@@ -120,20 +116,18 @@ def test_params_reject_bad_bands():
 # --- classify_all ---
 
 
-def masked_scene():
-    """A 32x32 masked frame with one 8x6 object (corners clipped)."""
-    base = texture(50, 32, 32, lo=60, hi=200)
+def one_object_scene():
+    """A 32x32 mask's area and its one 8x6 object (corners clipped)."""
     bits = np.zeros((32, 32), dtype=np.uint8)
     bits[10:16, 12:20] = 1
     for y, x in ((10, 12), (10, 19), (15, 12), (15, 19)):
         bits[y, x] = 0
-    mask = ForegroundMask(bits)
-    return apply_mask(frame_of(base), mask), connected_components(mask)
+    return bits.size, connected_components(ForegroundMask(bits))
 
 
 def test_classify_all_labels_with_the_default_heuristic():
-    masked, objects = masked_scene()
-    labeled = classify_all(objects, masked)
+    area, objects = one_object_scene()
+    labeled = classify_all(objects, area)
     assert len(labeled) == 1
     assert labeled[0].label == VEHICLE
     assert labeled[0].score == 1.0
@@ -141,35 +135,13 @@ def test_classify_all_labels_with_the_default_heuristic():
     assert objects[0].label is None
 
 
-def test_classify_all_accepts_a_custom_classifier():
-    masked, objects = masked_scene()
-    seen = []
-
-    def stub(img, obj):
-        seen.append((img.shape, obj.bbox))
-        assert np.array_equal(img, crop_object(masked, obj))
-        return ClassifierVerdict("stub", 0.25)
-
-    labeled = classify_all(objects, masked, classifier=stub)
-    assert seen == [((6, 8), (12, 10, 8, 6))]
-    assert labeled[0].label == "stub"
-    assert labeled[0].score == 0.25
-
-
 def test_classify_all_honors_params():
-    masked, objects = masked_scene()
+    area, objects = one_object_scene()
     strict = HeuristicParams(area_min_frac=0.2, area_max_frac=0.5)
-    labeled = classify_all(objects, masked, params=strict)
+    labeled = classify_all(objects, area, params=strict)
     assert labeled[0].label == NON_VEHICLE
 
 
 def test_classify_all_empty_list():
-    masked, _ = masked_scene()
-    assert classify_all([], masked) == []
+    assert classify_all([], 32 * 32) == []
 
-
-def test_crop_object_matches_bbox():
-    masked, objects = masked_scene()
-    crop = crop_object(masked, objects[0])
-    assert crop.shape == (6, 8)
-    assert np.array_equal(crop, masked.pixels[10:16, 12:20])
