@@ -179,8 +179,10 @@ def save_model(model: BackgroundModel, path) -> None:
 def load_model(path) -> BackgroundModel:
     """Load a model written by save_model (PGM + '.cells' sidecar).
 
-    Raises PnmError naming the sidecar line that is malformed, out of the
-    grid, repeated, or pairs a status with an impossible settle index.
+    Raises PnmError naming the sidecar line that is malformed, declares a
+    non-positive grid or a ``built_from`` range that runs backwards or below
+    frame 0, is out of the grid, repeated, or pairs a status with an
+    impossible settle index.
     """
     path = Path(path)
     frame = load_frame(path)
@@ -200,8 +202,12 @@ def load_model(path) -> BackgroundModel:
                 parts = line[1:].split()
                 if parts[:1] == ["grid"]:
                     g = int(parts[1])
+                    if g < 1:
+                        raise PnmError(f"{where}: grid {g} is not positive")
                 elif parts[:1] == ["built_from"]:
                     built = (int(parts[1]), int(parts[2]))
+                    if not 0 <= built[0] <= built[1]:
+                        raise PnmError(f"{where}: built_from {built} needs 0 <= start <= end")
                 continue
             row_s, col_s, name, settle_s = line.split()
             cell, settle = (int(row_s), int(col_s)), int(settle_s)

@@ -41,6 +41,8 @@ REFERENCE_ACCURACY = {
 }
 REFERENCE_ORDER = (Method.DCT, Method.XOR, Method.ENTROPY, Method.ABSDIFF)
 
+DEFAULT_IOU = 0.5  # a detection matches a truth box at this IoU or above
+
 # Background texture range. Kept clear of the quantization boundaries that
 # the default subtraction shift (6 -> buckets of 64) puts at 64 and 128,
 # so sigma=5 noise cannot blink background pixels across a bucket edge.
@@ -93,7 +95,7 @@ class SceneSpec:
             raise SceneSpecError("scene must be at least 16x16")
         if self.frame_count < 2:
             raise SceneSpecError("scene needs at least 2 frames")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails too
             raise SceneSpecError("noise sigma must be >= 0")
 
 
@@ -231,7 +233,7 @@ def evaluate(
     pred_objects: list[list[DetectedObject]],
     truth_masks: list[ForegroundMask],
     truth_boxes: list[list[tuple[int, int, int, int]]],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = DEFAULT_IOU,
 ) -> Metrics:
     """Pixel metrics pooled over all frames plus object-level accuracy.
 
@@ -354,7 +356,7 @@ def bench_methods(
     spec: SceneSpec,
     configs: list[ComparatorConfig] | None = None,
     params: PipelineParams | None = None,
-    iou_threshold: float = 0.5,
+    iou_threshold: float = DEFAULT_IOU,
     max_frames: int = DEFAULT_MAX_FRAMES,
     jobs: int = 1,
 ) -> list[BenchRow]:
@@ -495,7 +497,7 @@ def write_scene_file(spec: SceneSpec, path) -> None:
         f"width={spec.width}",
         f"height={spec.height}",
         f"frames={spec.frame_count}",
-        f"sigma={spec.noise_sigma:g}",
+        f"sigma={float(spec.noise_sigma)!r}".removesuffix(".0"),  # reads back exactly
         f"seed={spec.seed}",
     ]
     for m in spec.movers:

@@ -3,9 +3,11 @@
 Subcommands: model (build + save an SRBI), detect (masks + objects CSV),
 bench (four-method synthetic comparison), entropy (per-frame entropy,
 grid suggestion). Exit codes: 0 success, 1 runtime failure, 2 usage or
-configuration error. Option values resolve as CLI flag > config file >
-built-in default, and the effective configuration is echoed to a text
-file next to the primary output so a run can be reproduced exactly.
+configuration error. Each line of a ``--config`` file acts as the
+subcommand's own flag placed before the command line's flags, so flags win
+and a file value passes the same checks as a flag. The effective
+configuration is echoed to a text file next to the primary output so a run
+can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import csv
 import sys
 from collections import deque
 from collections.abc import Iterator
+from dataclasses import fields
 from itertools import chain, islice
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from .background import (
     update_srbi,
 )
 from .bench import (
+    DEFAULT_IOU,
     bench_methods,
     format_report,
     parse_scene_file,
@@ -46,11 +50,12 @@ from .comparators import (
 )
 from .errors import ConfigError, PipelineError, SceneSpecError
 from .foreground import (
+    DEFAULT_MIN_AREA_FRAC,
     DEFAULT_SUBTRACT_SHIFT,
     DEFAULT_WINDOW,
     mask_to_frame,
 )
-from .imaging import DEFAULT_PATTERN, Frame, load_sequence, prefilter, save_frame
+from .imaging import DEFAULT_PATTERN, PREFILTERS, Frame, load_sequence, prefilter, save_frame
 from .pipeline import PipelineParams, resolve_grid, run_detection
 from .validation import HeuristicParams
 
@@ -59,43 +64,96 @@ _METHODS = tuple(m.value for m in Method)
 DEFAULT_REBUILD_EVERY = 300
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse type: ``kind(text)``, which must satisfy ``ok``."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):  # written so that NaN fails
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return convert
+
+
+def _int_from(low: int):
+    return _checked(int, lambda v: v >= low, f">= {low}")
+
+
+def _method(text: str) -> str:
+    if text not in _METHODS:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {text!r}: expected one of {', '.join(_METHODS)}"
+        )
+    return text
+
+
+def _grid(text: str) -> int | None:
+    """auto is None; PipelineParams checks the size."""
+    if text == "auto":
+        return None
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected auto, 8, 16 or 32, got {text!r}")
+    return int(text)
+
+
+def _bands(text: str) -> tuple[float, float]:
+    """LOW,HIGH; PipelineParams checks their order."""
+    try:
+        low, high = (float(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LOW,HIGH, got {text!r}") from None
+    return low, high
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; CLI flags win")
 
 
 def _add_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="directory of frames")
-    # argparse expands "%" in help text, so the default's %06d must be doubled
-    p.add_argument(
-        "--pattern",
-        help=f"frame filename pattern (default {DEFAULT_PATTERN.replace('%', '%%')})",
-    )
+    p.add_argument("--pattern", default=DEFAULT_PATTERN, help="frame filename pattern (default %(default)s)")
+
+
+def _add_grid_thresholds(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--grid-thresholds", type=_bands, help=f"entropy-delta bands LOW,HIGH (default {DELTA_H_LOW},{DELTA_H_HIGH})")
+
+
+def _add_build_knobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--grid", type=_grid, help="grid granularity: auto, 8, 16 or 32 (default auto)")
+    p.add_argument("--max-frames", type=_int_from(2), default=DEFAULT_MAX_FRAMES, help="frame budget for building (default %(default)s)")
 
 
 def _add_model_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=_METHODS, help="block comparator (default dct)")
-    p.add_argument("--threshold", type=float, help="static/dynamic score threshold")
-    p.add_argument("--xor-shift", type=int, help=f"XOR quantization shift (default {DEFAULT_XOR_SHIFT})")
-    p.add_argument("--dct-k", type=int, help=f"DCT coefficients kept (default {DEFAULT_DCT_KEEP})")
-    p.add_argument("--grid", help="grid granularity: auto, 8, 16 or 32 (default auto)")
-    p.add_argument("--grid-thresholds", help=f"entropy-delta bands LOW,HIGH (default {DELTA_H_LOW},{DELTA_H_HIGH})")
-    p.add_argument("--prefilter", choices=("none", "median3"), help="denoise frames before use (default none)")
-    p.add_argument("--max-frames", type=int, help=f"frame budget for building (default {DEFAULT_MAX_FRAMES})")
+    thresholds = ", ".join(f"{m.value} {t}" for m, t in DEFAULT_THRESHOLDS.items())
+    p.add_argument("--method", type=_method, default=Method.DCT.value, help=f"block comparator: {', '.join(_METHODS)} (default %(default)s)")
+    p.add_argument("--threshold", type=float, help=f"static/dynamic score threshold (default {thresholds})")
+    p.add_argument("--xor-shift", type=int, default=DEFAULT_XOR_SHIFT, help="XOR quantization shift (default %(default)s)")
+    p.add_argument("--dct-k", type=int, default=DEFAULT_DCT_KEEP, help="DCT coefficients kept (default %(default)s)")
+    _add_grid_thresholds(p)
+    p.add_argument("--prefilter", choices=PREFILTERS, default=PREFILTERS[0], help="denoise frames before use (default %(default)s)")
+    _add_build_knobs(p)
 
 
-def _add_detect_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--subtract-shift", type=int, help=f"quantization shift for subtraction (default {DEFAULT_SUBTRACT_SHIFT})")
-    p.add_argument("--window", type=int, help=f"median filter window, odd >= 3 (default {DEFAULT_WINDOW})")
-    p.add_argument("--min-area", type=float, help="minimum object area in pixels (default 0.1%% of cropped area)")
-    p.add_argument("--no-validate", action="store_true", help="skip the vehicle heuristic; label everything vehicle")
-    p.add_argument("--aspect-min", type=float, help="heuristic: min w/h (default 0.5)")
-    p.add_argument("--aspect-max", type=float, help="heuristic: max w/h (default 4.0)")
-    p.add_argument("--fill-min", type=float, help="heuristic: min bbox fill (default 0.4)")
-    p.add_argument("--area-min-frac", type=float, help="heuristic: min area fraction (default 0.001)")
-    p.add_argument("--area-max-frac", type=float, help="heuristic: max area fraction (default 0.5)")
+def _add_detect_knobs(p: argparse.ArgumentParser) -> dict[str, object]:
+    """Add the detection knobs' flags; returns their defaults by name."""
+    added = [
+        p.add_argument("--subtract-shift", type=int, default=DEFAULT_SUBTRACT_SHIFT, help="quantization shift for subtraction (default %(default)s)"),
+        p.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="median filter window, odd >= 3 (default %(default)s)"),
+        p.add_argument("--min-area", type=float, help=f"minimum object area in pixels (default {100 * DEFAULT_MIN_AREA_FRAC:g}%% of cropped area)"),
+        p.add_argument("--no-validate", action="store_true", help="skip the vehicle heuristic; label everything vehicle"),
+        p.add_argument("--aspect-min", type=float, default=HeuristicParams.aspect_min, help="heuristic: min w/h (default %(default)s)"),
+        p.add_argument("--aspect-max", type=float, default=HeuristicParams.aspect_max, help="heuristic: max w/h (default %(default)s)"),
+        p.add_argument("--fill-min", type=float, default=HeuristicParams.fill_min, help="heuristic: min bbox fill (default %(default)s)"),
+        p.add_argument("--area-min-frac", type=float, default=HeuristicParams.area_min_frac, help="heuristic: min area fraction (default %(default)s)"),
+        p.add_argument("--area-max-frac", type=float, default=HeuristicParams.area_max_frac, help="heuristic: max area fraction (default %(default)s)"),
+    ]
+    return {a.dest: a.default for a in added}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The blockbg parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="blockbg",
         description="Block-based background modeling and moving-object detection.",
@@ -108,47 +166,58 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_knobs(p_model)
     p_model.add_argument("--out", required=True, help="output model PGM path")
     p_model.add_argument("--no-backfill", action="store_true", help="leave unsettled cells empty")
-    p_model.add_argument("--min-coverage", type=float, help="fail below this coverage (default 1.0)")
+    p_model.add_argument("--min-coverage", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"), default=1.0, help="fail below this coverage (default %(default)s)")
     _add_common(p_model)
 
     p_detect = sub.add_parser("detect", help="detect moving objects against a model")
     _add_input(p_detect)
     group = p_detect.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="saved model PGM (with .cells sidecar)")
-    group.add_argument("--model-frames", type=int, help="build the model inline from the first N input frames")
+    group.add_argument("--model-frames", type=_int_from(2), help="build the model inline from the first N input frames")
     _add_model_knobs(p_detect)
-    _add_detect_knobs(p_detect)
-    p_detect.add_argument("--rebuild-every", type=int, help=f"rebuild the inline model every N frames (default {DEFAULT_REBUILD_EVERY}, 0 disables)")
+    knob_defaults = _add_detect_knobs(p_detect)
+    p_detect.add_argument("--rebuild-every", type=_int_from(0), default=DEFAULT_REBUILD_EVERY, help="rebuild the inline model every N frames (default %(default)s, 0 disables)")
     p_detect.add_argument("--out-dir", required=True, help="directory for masks and objects.csv")
     _add_common(p_detect)
 
     p_bench = sub.add_parser("bench", help="compare all four methods on a synthetic scene")
     p_bench.add_argument("--scene", required=True, help="scene description file")
     p_bench.add_argument("--out", required=True, help="output report CSV path")
-    p_bench.add_argument("--iou", type=float, help="object match IoU threshold (default 0.5)")
+    p_bench.add_argument("--iou", type=_checked(float, lambda v: 0 < v <= 1, "in (0, 1]"), default=DEFAULT_IOU, help="object match IoU threshold (default %(default)s)")
     _add_detect_knobs(p_bench)
-    p_bench.add_argument("--grid", help="grid granularity: auto, 8, 16 or 32 (default auto)")
-    p_bench.add_argument("--max-frames", type=int, help=f"frame budget for building (default {DEFAULT_MAX_FRAMES})")
-    p_bench.add_argument("--jobs", type=int, help="worker threads over methods (default 1)")
+    _add_build_knobs(p_bench)
+    p_bench.add_argument("--jobs", type=_int_from(1), default=1, help="worker threads over methods (default %(default)s)")
     _add_common(p_bench)
 
     p_entropy = sub.add_parser("entropy", help="print per-frame entropy (and grid choice for a pair)")
     _add_input(p_entropy)
-    p_entropy.add_argument("--grid-thresholds", help="entropy-delta bands LOW,HIGH")
+    _add_grid_thresholds(p_entropy)
     _add_common(p_entropy)
 
-    # A config file may set any subcommand's option, so one file serves all.
-    keys = {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
-    parser.set_defaults(config_keys=frozenset(keys))
-    return parser
+    # A subcommand without some knobs' flags still builds a PipelineParams
+    # from its namespace; model and bench also echo those defaults.
+    p_model.set_defaults(**knob_defaults)
+    p_bench.set_defaults(grid_thresholds=None)
+    p_entropy.set_defaults(grid=None, **knob_defaults)
+    return parser, sub.choices
 
 
-def _read_config_file(path: str, known) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _config_flags(path: str, command: str, commands: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """The lines of a key=value file that set ``command``'s options, each as
+    the flag token that sets it; keys of the other subcommands are skipped."""
+    options = {
+        name: {a.dest: a for a in p._actions if a.dest != "help"}
+        for name, p in commands.items()
+    }
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    flags = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -156,160 +225,74 @@ def _read_config_file(path: str, known) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"config line {ln}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key.replace("-", "_") not in known:
+        dest = key.replace("-", "_")
+        if not any(dest in own for own in options.values()):
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
-        cfg[key.replace("-", "_")] = value
-    return cfg
+        action = options[command].get(dest)
+        if action is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() in _TRUE:
+            flags.append(flag)
+        elif value.lower() not in _FALSE:
+            raise ConfigError(f"config line {ln}: {key} expects true or false, got {value!r}")
+    return flags
 
 
-_BOOL_KEYS = {"no_validate", "no_backfill"}
-
-
-def _coerce(key: str, value: str):
-    if key in _BOOL_KEYS:
-        lowered = value.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key}: expected a boolean, got {value!r}")
-    return value
-
-
-class _Resolver:
-    """CLI flag > config file > default, tracking the effective values."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        path = self.args.get("config")
-        self.file_cfg = _read_config_file(path, self.args["config_keys"]) if path else {}
-        self.effective: dict[str, object] = {}
-
-    def get(self, key: str, default, convert=None):
-        value = self.args.get(key)
-        if value is None or value is False and key in _BOOL_KEYS:
-            if key in self.file_cfg:
-                value = _coerce(key, self.file_cfg[key])
-            else:
-                value = default
-        if convert is not None and value is not None and isinstance(value, str):
-            try:
-                value = convert(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {exc}") from exc
-        self.effective[key] = value
-        return value
-
-
-def _parse_grid(value) -> int | None:
-    if value is None or value == "auto":
-        return None
+def _comparator_config(args: argparse.Namespace) -> ComparatorConfig:
+    method = Method(args.method)
+    if args.threshold is None:
+        args.threshold = DEFAULT_THRESHOLDS[method]  # echoed as resolved
     try:
-        g = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad grid value {value!r}: expected auto, 8, 16 or 32") from exc
-    if g not in (8, 16, 32):
-        raise ConfigError(f"grid must be auto, 8, 16 or 32, got {g}")
-    return g
-
-
-def _parse_grid_thresholds(value) -> tuple[float, float]:
-    if value is None:
-        return (DELTA_H_LOW, DELTA_H_HIGH)
-    try:
-        low_s, high_s = value.split(",")
-        low, high = float(low_s), float(high_s)
-    except ValueError as exc:
-        raise ConfigError(f"bad grid thresholds {value!r}: expected LOW,HIGH") from exc
-    if not 0 < low < high:
-        raise ConfigError(f"grid thresholds must satisfy 0 < low < high, got {value!r}")
-    return (low, high)
-
-
-def _comparator_config(r: _Resolver) -> ComparatorConfig:
-    raw_method = r.get("method", "dct")
-    try:
-        method = Method(raw_method)
-    except ValueError as exc:
-        raise ConfigError(
-            f"unknown method {raw_method!r}: expected one of {', '.join(_METHODS)}"
-        ) from exc
-    threshold = r.get("threshold", None, float)
-    if threshold is None:
-        threshold = DEFAULT_THRESHOLDS[method]
-        r.effective["threshold"] = threshold
-    try:
-        return ComparatorConfig(
-            method=method,
-            threshold=float(threshold),
-            xor_shift=int(r.get("xor_shift", DEFAULT_XOR_SHIFT, int)),
-            dct_keep=int(r.get("dct_k", DEFAULT_DCT_KEEP, int)),
-        )
+        return ComparatorConfig(method, args.threshold, args.xor_shift, args.dct_k)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _pipeline_params(r: _Resolver) -> PipelineParams:
-    low, high = _parse_grid_thresholds(r.get("grid_thresholds", None))
+def _pipeline_params(args: argparse.Namespace) -> PipelineParams:
+    bands = dict(zip(("grid_low", "grid_high"), args.grid_thresholds or ()))
     try:
-        heuristic = HeuristicParams(
-            aspect_min=float(r.get("aspect_min", 0.5, float)),
-            aspect_max=float(r.get("aspect_max", 4.0, float)),
-            fill_min=float(r.get("fill_min", 0.4, float)),
-            area_min_frac=float(r.get("area_min_frac", 0.001, float)),
-            area_max_frac=float(r.get("area_max_frac", 0.5, float)),
-        )
-        min_area = r.get("min_area", None, float)
         return PipelineParams(
-            grid=_parse_grid(r.get("grid", None)),
-            grid_low=low,
-            grid_high=high,
-            subtract_shift=int(r.get("subtract_shift", DEFAULT_SUBTRACT_SHIFT, int)),
-            window=int(r.get("window", DEFAULT_WINDOW, int)),
-            min_area=None if min_area is None else float(min_area),
-            validate=not bool(r.get("no_validate", False)),
-            heuristic=heuristic,
+            grid=args.grid,
+            subtract_shift=args.subtract_shift,
+            window=args.window,
+            min_area=args.min_area,
+            validate=not args.no_validate,
+            heuristic=HeuristicParams(**{f.name: getattr(args, f.name) for f in fields(HeuristicParams)}),
+            **bands,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-# Keys that locate files or tune parallelism rather than change results;
-# left out of the echo so identical runs write identical bytes no matter
-# where the outputs land or how many workers ran.
-_ECHO_EXCLUDE = {"config", "input", "jobs", "model", "out", "out_dir", "scene"}
+# Keys that name the subcommand, locate files or tune parallelism rather
+# than change results; left out of the echo so identical runs write
+# identical bytes no matter where the outputs land or how many workers ran.
+_ECHO_EXCLUDE = {"command", "config", "input", "jobs", "model", "out", "out_dir", "scene"}
 
 
-def _echo_config(effective: dict[str, object], path: Path) -> None:
+def _echo_config(args: argparse.Namespace, path: Path) -> None:
     lines = [
-        f"{key}={effective[key]}"
-        for key in sorted(effective)
+        f"{key}={','.join(map(str, value)) if isinstance(value, tuple) else value}"
+        for key, value in sorted(vars(args).items())
         if key not in _ECHO_EXCLUDE
     ]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _max_frames(r: _Resolver) -> int:
-    max_frames = int(r.get("max_frames", DEFAULT_MAX_FRAMES, int))
-    if max_frames < 2:
-        raise ConfigError(f"max frames must be >= 2, got {max_frames}")
-    return max_frames
-
-
-def _sequence(r: _Resolver, directory, min_frames: int = 2) -> Iterator[Frame]:
+def _sequence(args: argparse.Namespace, min_frames: int = 2) -> Iterator[Frame]:
     """load_sequence with the configured pattern."""
     try:
-        return load_sequence(directory, r.get("pattern", DEFAULT_PATTERN), min_frames)
+        return load_sequence(args.input, args.pattern, min_frames)
     except ValueError as exc:  # the pattern has no %d field
         raise ConfigError(str(exc)) from exc
 
 
-def _frames(r: _Resolver, directory) -> Iterator[Frame]:
+def _frames(args: argparse.Namespace) -> Iterator[Frame]:
     """The input frames, each decoded and prefiltered when it is pulled."""
-    kind = r.get("prefilter", "none")
-    if kind not in ("none", "median3"):
-        raise ConfigError(f"unknown prefilter {kind!r}")
-    return (prefilter(f, kind) for f in _sequence(r, directory))
+    return (prefilter(f, args.prefilter) for f in _sequence(args))
 
 
 def _build(
@@ -333,57 +316,43 @@ def _build(
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    cfg = _comparator_config(r)
-    params = _pipeline_params(r)
-    max_frames = _max_frames(r)
-    min_coverage = float(r.get("min_coverage", 1.0, float))
-    if not 0 <= min_coverage <= 1:
-        raise ConfigError(f"min coverage must be in [0, 1], got {min_coverage}")
-    do_backfill = not bool(r.get("no_backfill", False))
-    out = Path(r.get("out", None))
+    cfg = _comparator_config(args)
+    params = _pipeline_params(args)
+    out = Path(args.out)
 
     last = deque(maxlen=1)  # the last frame the build pulled
-    model = _build(_frames(r, args.input), last, params, cfg, max_frames)
-    if do_backfill and coverage(model) < 1.0:
+    model = _build(_frames(args), last, params, cfg, args.max_frames)
+    if not args.no_backfill and coverage(model) < 1.0:
         n = int((model.cell_status == CELL_UNSETTLED).sum())
         model = backfill(model, last[0])
         print(f"backfilled {n} unsettled cell(s) from frame {model.built_from[1] - 1}", file=sys.stderr)
     save_model(model, out)
-    _echo_config(r.effective, out.with_name(out.name + ".config.txt"))
+    _echo_config(args, out.with_name(out.name + ".config.txt"))
     final_cov = coverage(model)
     print(f"coverage {final_cov:.6f}")
     print(f"frames_consumed {model.built_from[1]}")
-    return 0 if final_cov >= min_coverage else 1
+    return 0 if final_cov >= args.min_coverage else 1
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    cfg = _comparator_config(r)
-    params = _pipeline_params(r)
-    max_frames = _max_frames(r)
-    rebuild_every = int(r.get("rebuild_every", DEFAULT_REBUILD_EVERY, int))
-    if rebuild_every < 0:
-        raise ConfigError(f"rebuild period must be >= 0, got {rebuild_every}")
-    model_path = r.get("model", None)
-    model_frames = r.get("model_frames", None, int)
-    if model_frames is not None and model_frames < 2:
-        raise ConfigError(f"--model-frames must be >= 2, got {model_frames}")
-    out_dir = Path(r.get("out_dir", None))
+    cfg = _comparator_config(args)
+    params = _pipeline_params(args)
+    max_frames, rebuild_every = args.max_frames, args.rebuild_every
+    out_dir = Path(args.out_dir)
 
-    frames = _frames(r, args.input)
+    frames = _frames(args)
     pulled = []  # frames the inline build decoded; detection starts with them
-    if model_path is not None:
-        model = load_model(model_path)  # frames smaller than it fail in subtract
+    if args.model is not None:
+        model = load_model(args.model)  # frames smaller than it fail in subtract
     else:
-        model = _build(islice(frames, model_frames), pulled, params, cfg, max_frames)
+        model = _build(islice(frames, args.model_frames), pulled, params, cfg, max_frames)
         if coverage(model) < 1.0:
             k = int((model.cell_status == CELL_UNSETTLED).sum())
             model = backfill(model, pulled[-1])
             print(f"backfilled {k} unsettled cell(s)", file=sys.stderr)
 
     # The last max_frames detected frames, kept only for inline rebuilds.
-    recent = deque(maxlen=max_frames if model_frames is not None and rebuild_every else 0)
+    recent = deque(maxlen=max_frames if args.model_frames is not None and rebuild_every else 0)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_frames = n_objects = 0
     with open(out_dir / "objects.csv", "w", newline="") as fh:
@@ -403,45 +372,35 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             )
             recent.append(frame)
             n_frames, n_objects = i + 1, n_objects + len(objects)
-    _echo_config(r.effective, out_dir / "config.txt")
+    _echo_config(args, out_dir / "config.txt")
     print(f"frames {n_frames}")
     print(f"objects {n_objects}")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    params = _pipeline_params(r)
-    max_frames = _max_frames(r)
-    iou = float(r.get("iou", 0.5, float))
-    if not 0 < iou <= 1:
-        raise ConfigError(f"iou must be in (0, 1], got {iou}")
-    jobs = int(r.get("jobs", 1, int))
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    out = Path(r.get("out", None))
-    scene_path = r.get("scene", None)
+    params = _pipeline_params(args)
+    out = Path(args.out)
 
-    spec = parse_scene_file(scene_path)
+    spec = parse_scene_file(args.scene)
     rows = bench_methods(
-        spec, params=params, iou_threshold=iou, max_frames=max_frames, jobs=jobs
+        spec, params=params, iou_threshold=args.iou, max_frames=args.max_frames, jobs=args.jobs
     )
     write_report_csv(rows, out)
-    _echo_config(r.effective, out.with_name(out.name + ".config.txt"))
+    _echo_config(args, out.with_name(out.name + ".config.txt"))
     print(format_report(rows))
     return 0
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    low, high = _parse_grid_thresholds(r.get("grid_thresholds", None))
-    values = [entropy_of(f) for f in _sequence(r, args.input, min_frames=1)]
+    params = _pipeline_params(args)
+    values = [entropy_of(f) for f in _sequence(args, min_frames=1)]
     for v in values:
         print(f"{v:.6f}")
     if len(values) == 2:
         delta = abs(values[0] - values[1])
         print(f"delta {delta:.6f}")
-        print(f"grid {grid_for_delta(delta, low, high)}")
+        print(f"grid {grid_for_delta(delta, params.grid_low, params.grid_high)}")
     return 0
 
 
@@ -454,13 +413,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # The file's lines go right after the subcommand name, so the
+            # command line's flags come later and win.
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.config, args.command, commands)
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except (ConfigError, SceneSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,7 +63,7 @@ class ComparatorConfig:
     dct_keep: int = DEFAULT_DCT_KEEP
 
     def __post_init__(self):
-        if self.threshold < 0:
+        if not self.threshold >= 0:  # NaN fails too
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if not 0 <= self.xor_shift <= 7:
             raise ValueError(f"xor shift must be in [0, 7], got {self.xor_shift}")

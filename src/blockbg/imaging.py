@@ -29,6 +29,7 @@ from .errors import (
 MIN_DIM = 16
 
 DEFAULT_PATTERN = "%06d.pgm"
+PREFILTERS = ("none", "median3")  # the first is the default
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +227,7 @@ def _median3(px: np.ndarray) -> np.ndarray:
     return np.take_along_axis(stack, pick, axis=0)[0].astype(np.uint8)
 
 
-def prefilter(frame: Frame, kind: str = "none") -> Frame:
+def prefilter(frame: Frame, kind: str = PREFILTERS[0]) -> Frame:
     """Optional denoise pass before modeling: ``none`` or ``median3``."""
     if kind == "none":
         return frame

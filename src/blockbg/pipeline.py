@@ -13,6 +13,7 @@ from .background import BackgroundModel
 from .blocks import (
     DELTA_H_HIGH,
     DELTA_H_LOW,
+    GRID_CHOICES,
     BlockGrid,
     make_grid,
     select_grid,
@@ -46,11 +47,17 @@ class PipelineParams:
     heuristic: HeuristicParams = field(default_factory=HeuristicParams)
 
     def __post_init__(self):
+        if self.grid not in (None, *GRID_CHOICES):
+            raise ValueError(f"grid must be auto, 8, 16 or 32, got {self.grid}")
+        if not 0 < self.grid_low < self.grid_high:
+            raise ValueError(
+                f"grid thresholds must satisfy 0 < low < high, got {self.grid_low},{self.grid_high}"
+            )
         if not 0 <= self.subtract_shift <= 7:
             raise ValueError(f"subtract shift must be in [0, 7], got {self.subtract_shift}")
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
-        if self.min_area is not None and self.min_area < 0:
+        if self.min_area is not None and not self.min_area >= 0:  # NaN fails too
             raise ValueError(f"min area must be >= 0, got {self.min_area}")
 
     def resolved_min_area(self, cropped_area: int) -> float:

@@ -389,6 +389,10 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
         (20, "4 0 settled 1"),
         (20, "0 0 settled 1"),
         (4, "0 0 settled"),
+        (2, "# grid 0"),
+        (2, "# grid -4"),
+        (3, "# built_from 5 2"),
+        (3, "# built_from -1 2"),
     ],
     ids=[
         "settled-at-minus-one",
@@ -397,6 +401,10 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
         "outside-grid",
         "duplicate",
         "three-fields",
+        "grid-zero",
+        "grid-negative",
+        "built-from-backwards",
+        "built-from-below-zero",
     ],
 )
 def test_load_rejects_bad_cell_line_and_names_it(tmp_path, ln, text):

@@ -158,6 +158,8 @@ def test_scene_spec_validation():
     with pytest.raises(SceneSpecError):
         SceneSpec(width=32, height=32, frame_count=4, noise_sigma=-1.0)
     with pytest.raises(SceneSpecError):
+        SceneSpec(width=32, height=32, frame_count=4, noise_sigma=float("nan"))
+    with pytest.raises(SceneSpecError):
         Mover(0, 0, 0, 4, 200, 1, 0)
     with pytest.raises(SceneSpecError):
         Mover(0, 0, 4, 4, 300, 1, 0)

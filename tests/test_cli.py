@@ -1,5 +1,7 @@
 """End-to-end command line behavior: outputs, exit codes, precedence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import blockbg.imaging
 from blockbg.background import load_model
 from blockbg.bench import Mover, SceneSpec, write_scene_file
 from blockbg.cli import main
+from blockbg.foreground import DEFAULT_WINDOW
 from blockbg.imaging import load_frame
 
 from helpers import texture, write_frames
@@ -361,6 +364,46 @@ def test_config_file_validation(tmp_path, capsys):
     )
     assert code == 0
 
+    # model skips detect's keys, so it neither checks nor echoes their values
+    cfg.write_text("method=absdiff\nwindow=4\n")
+    code, _, _ = run(
+        capsys, "model", "--input", str(frames), "--out", str(out),
+        "--config", str(cfg), "--grid", "8",
+    )
+    assert code == 0
+    assert echo_dict(tmp_path / "model.pgm.config.txt")["window"] == str(DEFAULT_WINDOW)
+
+    # a file value gets its flag's checks, and a flag's boolean takes a boolean
+    for text, named in (
+        ("max_frames=1\n", "--max-frames: must be >= 2, got 1"),
+        ("no_backfill=maybe\n", "config line 1: no_backfill expects true or false"),
+    ):
+        cfg.write_text(text)
+        code, _, stderr = run(
+            capsys, "model", "--input", str(frames), "--out", str(out),
+            "--config", str(cfg),
+        )
+        assert code == 2 and named in stderr, text
+
+
+def test_config_file_cannot_add_the_other_model_source(tmp_path, capsys):
+    frames = mover_dir(tmp_path)
+    model = tmp_path / "model.pgm"
+    assert main(["model", "--input", str(frames), "--out", str(model), "--grid", "8"]) == 0
+    cfg = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    detect = ["detect", "--input", str(frames), "--out-dir", str(out_dir), "--config", str(cfg)]
+    for text, source in (
+        (f"model={model}\n", ["--model-frames", "2"]),
+        ("model_frames=4\nrebuild_every=2\n", ["--model", str(model)]),
+    ):
+        cfg.write_text(text)
+        code, _, stderr = run(capsys, *detect, *source)
+        assert code == 2, text
+        error = stderr.strip().splitlines()[-1]
+        assert set(re.findall(r"--model[-\w]*", error)) == {"--model", "--model-frames"}
+        assert not list(out_dir.glob("mask_*.pgm"))
+
 
 # --- exit codes on bad input ---
 
@@ -386,6 +429,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         (base + ["--min-coverage", "1.5"], "got 1.5"),
         (bench + ["--iou", "7"], "got 7.0"),
         (bench + ["--iou", "0"], "got 0.0"),
+        (base + ["--threshold", "nan"], "got nan"),
     ):
         code, _, stderr = run(capsys, *argv)
         assert code == 2 and named in stderr, argv
@@ -401,6 +445,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(detect + ["--jobs", "0"]) == 2
     assert main(detect + ["--jobs", "2"]) == 2  # detect runs on one thread
     capsys.readouterr()
+    code, _, stderr = run(capsys, *detect, "--min-area", "nan")
+    assert code == 2 and "got nan" in stderr
 
 
 def test_runtime_errors_exit_one(tmp_path, capsys):
