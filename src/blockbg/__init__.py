@@ -33,26 +33,15 @@ from .bench import (
 )
 from .blocks import (
     BlockGrid,
-    Histogram,
     entropy_of,
-    extract_block,
-    histogram,
-    image_entropy,
     make_grid,
     select_grid,
 )
 from .comparators import (
     ComparatorConfig,
-    CompareResult,
     Method,
-    Verdict,
-    absdiff_score,
-    compare,
     dct2,
-    dct_score,
     default_config,
-    entropy_score,
-    xor_score,
     zigzag_indices,
 )
 from .errors import PipelineError

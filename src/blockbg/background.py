@@ -181,18 +181,19 @@ def load_model(path) -> BackgroundModel:
 
     Raises PnmError naming the sidecar line that is malformed, declares a
     non-positive grid or a ``built_from`` range that runs backwards or below
-    frame 0, is out of the grid, repeated, or pairs a status with an
-    impossible settle index.
+    frame 0, repeats a ``grid`` or ``built_from`` declaration, is out of the
+    grid, repeated, or pairs a status with an impossible settle index.
     """
     path = Path(path)
     frame = load_frame(path)
     sidecar = path.with_name(path.name + _SIDECAR_SUFFIX)
     if not sidecar.exists():
         raise PnmError(f"model sidecar missing: {sidecar}")
-    g = None
-    built = (0, 0)
+    g = built = None
     cells = {}
-    for ln, raw in enumerate(sidecar.read_text(encoding="ascii").splitlines(), start=1):
+    # A non-ASCII byte reads as U+FFFD, which no field parses: outside a comment it fails its line.
+    text = sidecar.read_text(encoding="ascii", errors="replace")
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -201,10 +202,14 @@ def load_model(path) -> BackgroundModel:
             if line.startswith("#"):
                 parts = line[1:].split()
                 if parts[:1] == ["grid"]:
+                    if g is not None:
+                        raise PnmError(f"{where}: second grid declaration")
                     g = int(parts[1])
                     if g < 1:
                         raise PnmError(f"{where}: grid {g} is not positive")
                 elif parts[:1] == ["built_from"]:
+                    if built is not None:
+                        raise PnmError(f"{where}: second built_from declaration")
                     built = (int(parts[1]), int(parts[2]))
                     if not 0 <= built[0] <= built[1]:
                         raise PnmError(f"{where}: built_from {built} needs 0 <= start <= end")
@@ -225,9 +230,9 @@ def load_model(path) -> BackgroundModel:
         cells[cell] = code
     if g is None:
         raise PnmError(f"model sidecar lacks a grid declaration: {sidecar}")
-    grid = make_grid(frame.width, frame.height, g)
-    if (grid.cropped_width, grid.cropped_height) != (frame.width, frame.height):
+    if frame.width % g or frame.height % g:
         raise PnmError("model image dimensions are not a multiple of the grid")
+    grid = make_grid(frame.width, frame.height, g)
     status = np.full((g, g), CELL_UNSETTLED, dtype=np.int32)
     for cell, code in cells.items():
         status[cell] = code
@@ -236,4 +241,4 @@ def load_model(path) -> BackgroundModel:
         raise PnmError(f"model sidecar missing cell {missing[0]}")
     px = frame.pixels.copy()
     px.setflags(write=False)
-    return BackgroundModel(grid=grid, pixels=px, cell_status=status, built_from=built)
+    return BackgroundModel(grid=grid, pixels=px, cell_status=status, built_from=built or (0, 0))

@@ -338,10 +338,6 @@ def truth_boxes_for(
     return out
 
 
-def default_method_configs() -> list[ComparatorConfig]:
-    return [default_config(m) for m in (Method.ABSDIFF, Method.ENTROPY, Method.XOR, Method.DCT)]
-
-
 def frames_to_reach(model_status: np.ndarray, fraction: float, g: int) -> int:
     """Frames needed until ``fraction`` of cells had settled, from settle
     indices; -1 when never reached."""
@@ -362,7 +358,7 @@ def bench_methods(
 ) -> list[BenchRow]:
     """Run the full pipeline once per comparator over one scene."""
     if configs is None:
-        configs = default_method_configs()
+        configs = [default_config(m) for m in Method]
     if params is None:
         params = PipelineParams()
     scene = gen_scene(spec)
@@ -450,8 +446,9 @@ def format_report(rows: list[BenchRow]) -> str:
 def parse_scene_file(path) -> SceneSpec:
     """Read a key=value scene description.
 
-    Keys: width, height, frames, sigma, seed, and one ``mover=`` line per
-    mover with values x,y,w,h,intensity,dx,dy. ``#`` starts a comment.
+    Keys: width, height, frames, sigma, seed, each at most once, and one
+    ``mover=`` line per mover with values x,y,w,h,intensity,dx,dy. ``#``
+    starts a comment. An unknown or repeated key names its line.
     """
     text = Path(path).read_text()
     fields: dict[str, str] = {}
@@ -474,6 +471,10 @@ def parse_scene_file(path) -> SceneSpec:
             except ValueError as exc:
                 raise SceneSpecError(f"line {ln}: bad mover value: {exc}") from exc
             movers.append(Mover(*nums))
+        elif key not in ("width", "height", "frames", "sigma", "seed"):
+            raise SceneSpecError(f"line {ln}: unknown key {key!r}")
+        elif key in fields:
+            raise SceneSpecError(f"line {ln}: key {key!r} given twice")
         else:
             fields[key] = value
     try:

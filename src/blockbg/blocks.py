@@ -1,4 +1,4 @@
-"""Gray-level histograms, image entropy, and the block grid.
+"""Image entropy and the block grid.
 
 The grid divides a frame into g x g equal blocks after cropping excess
 pixels from the right and bottom edges so the block size divides the
@@ -27,30 +27,6 @@ def _region(frame_or_block) -> np.ndarray:
     return np.asarray(frame_or_block)
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Gray-level tally over exactly 256 bins."""
-
-    counts: np.ndarray  # (256,) int64
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self.counts / self.total
-
-
-def histogram(frame_or_block) -> Histogram:
-    """Count gray levels over a frame or block."""
-    px = _region(frame_or_block)
-    if px.size == 0:
-        raise ValueError("empty region has no histogram")
-    counts = np.bincount(px.ravel().astype(np.uint8), minlength=256)
-    return Histogram(counts.astype(np.int64))
-
-
 def entropy_bits(counts) -> np.ndarray:
     """Shannon entropy in bits, -sum(p * log2(p)) over occupied levels, of
     each gray-level tally along the last axis of ``counts``.
@@ -64,14 +40,12 @@ def entropy_bits(counts) -> np.ndarray:
     return -(p * log_p).sum(axis=-1) + 0.0  # normalize -0.0
 
 
-def image_entropy(hist: Histogram) -> float:
-    """Shannon entropy of one histogram, in bits; see ``entropy_bits``."""
-    return float(entropy_bits(hist.counts))
-
-
 def entropy_of(frame_or_block) -> float:
-    """Convenience: histogram + entropy in one call."""
-    return image_entropy(histogram(frame_or_block))
+    """Shannon entropy, in bits, of the gray levels of a frame or block."""
+    px = _region(frame_or_block)
+    if px.size == 0:
+        raise ValueError("empty region has no entropy")
+    return float(entropy_bits(np.bincount(px.ravel(), minlength=256)))
 
 
 def grid_for_delta(delta_h: float, low: float = DELTA_H_LOW, high: float = DELTA_H_HIGH) -> int:
@@ -141,10 +115,3 @@ def block_view(frame_or_pixels, grid: BlockGrid) -> np.ndarray:
     px = _region(frame_or_pixels)[: grid.cropped_height, : grid.cropped_width]
     g = grid.g
     return px.reshape(g, grid.block_height, g, grid.block_width).swapaxes(1, 2)
-
-
-def extract_block(frame: Frame, grid: BlockGrid, row: int, col: int) -> np.ndarray:
-    """Read-only view of block (row, col); row-major cell order is (y, x)."""
-    if not (0 <= row < grid.g and 0 <= col < grid.g):
-        raise IndexError(f"cell ({row}, {col}) outside {grid.g}x{grid.g} grid")
-    return block_view(frame, grid)[row, col]

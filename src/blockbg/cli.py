@@ -180,7 +180,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_detect.add_argument("--out-dir", required=True, help="directory for masks and objects.csv")
     _add_common(p_detect)
 
-    p_bench = sub.add_parser("bench", help="compare all four methods on a synthetic scene")
+    p_bench = sub.add_parser("bench", help="benchmark all four methods on a synthetic scene")
     p_bench.add_argument("--scene", required=True, help="scene description file")
     p_bench.add_argument("--out", required=True, help="output report CSV path")
     p_bench.add_argument("--iou", type=_checked(float, lambda v: 0 < v <= 1, "in (0, 1]"), default=DEFAULT_IOU, help="object match IoU threshold (default %(default)s)")

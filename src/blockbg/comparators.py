@@ -1,14 +1,14 @@
-"""Block dissimilarity scores and the static/dynamic verdict.
+"""Block dissimilarity scores.
 
 Four interchangeable ways of scoring how different two counterpart blocks
 are: mean absolute difference, entropy delta, quantized XOR pixel fraction,
 and the distance between leading DCT coefficients. Every score is >= 0,
-scores 0 for identical blocks, and is symmetric in its arguments. A block
-pair is judged Static when its score falls strictly below the configured
-threshold.
+scores 0 for identical blocks, and is symmetric in its arguments. The
+model builder judges a block pair static when its score falls strictly
+below the configured threshold.
 
 Each method scores a stack of block pairs in one call (``score_blocks``);
-the pairwise functions are the one-pair case of the same code.
+``score`` is the one-pair case of the same code.
 
 The 2-D DCT here is the orthonormal (unitary) DCT-II, computed directly
 as two cosine-matrix multiplications; no transform library is involved.
@@ -31,11 +31,6 @@ class Method(str, enum.Enum):
     ENTROPY = "entropy"
     XOR = "xor"
     DCT = "dct"
-
-
-class Verdict(enum.Enum):
-    STATIC = "static"
-    DYNAMIC = "dynamic"
 
 
 # Engineering defaults, frozen after tuning against the synthetic benchmark.
@@ -74,12 +69,6 @@ class ComparatorConfig:
 def default_config(method: Method | str) -> ComparatorConfig:
     method = Method(method)
     return ComparatorConfig(method=method, threshold=DEFAULT_THRESHOLDS[method])
-
-
-@dataclass(frozen=True)
-class CompareResult:
-    score: float
-    verdict: Verdict
 
 
 @lru_cache(maxsize=None)
@@ -174,30 +163,3 @@ def score(a, b, cfg: ComparatorConfig) -> float:
     if a.ndim != 2 or a.size == 0:
         raise ValueError("blocks must be non-empty 2-D arrays")
     return float(score_blocks(a[None], b[None], cfg)[0])
-
-
-def absdiff_score(a, b) -> float:
-    """Mean absolute intensity difference, in [0, 255]."""
-    return score(a, b, ComparatorConfig(Method.ABSDIFF, 0.0))
-
-
-def entropy_score(a, b) -> float:
-    """|H(a) - H(b)| in bits, in [0, 8]. Blind to permutations by design."""
-    return score(a, b, ComparatorConfig(Method.ENTROPY, 0.0))
-
-
-def xor_score(a, b, shift: int = DEFAULT_XOR_SHIFT) -> float:
-    """Fraction of pixels whose (value >> shift) buckets XOR to nonzero."""
-    return score(a, b, ComparatorConfig(Method.XOR, 0.0, xor_shift=shift))
-
-
-def dct_score(a, b, keep: int = DEFAULT_DCT_KEEP) -> float:
-    """Mean absolute difference of the first ``keep`` zigzag DCT coefficients."""
-    return score(a, b, ComparatorConfig(Method.DCT, 0.0, dct_keep=keep))
-
-
-def compare(a, b, cfg: ComparatorConfig) -> CompareResult:
-    """Score a block pair; Static iff score < threshold (strict)."""
-    s = score(a, b, cfg)
-    verdict = Verdict.STATIC if s < cfg.threshold else Verdict.DYNAMIC
-    return CompareResult(score=s, verdict=verdict)

@@ -61,6 +61,14 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
+def _tail(p: np.ndarray) -> np.ndarray:
+    """Acklam's lower-tail branch, for p below _P_LOW."""
+    q = np.sqrt(-2.0 * np.log(p))
+    num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
+    den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
+    return num / den
+
+
 def inv_norm_cdf(p: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF for p strictly inside (0, 1)."""
     p = np.asarray(p, dtype=np.float64)
@@ -79,15 +87,9 @@ def inv_norm_cdf(p: np.ndarray) -> np.ndarray:
         den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
         z[mid] = q * num / den
     if lo.any():
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        z[lo] = num / den
+        z[lo] = _tail(p[lo])
     if hi.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        z[hi] = -num / den
+        z[hi] = -_tail(1.0 - p[hi])  # the normal is symmetric about 0
     return z
 
 

@@ -14,8 +14,8 @@ from blockbg.background import (
     update_srbi,
 )
 from blockbg.bench import Mover, SceneSpec, gen_scene
-from blockbg.blocks import block_view, extract_block, make_grid
-from blockbg.comparators import Method, Verdict, compare, default_config
+from blockbg.blocks import block_view, make_grid
+from blockbg.comparators import ComparatorConfig, Method, default_config, score
 from blockbg.errors import InconsistentSequence, PnmError, SequenceTooShort
 
 from helpers import frame_of, texture
@@ -173,9 +173,9 @@ def settle_cell_by_cell(frames, grid, cfg):
             break
         consumed = t + 2
         for r, c in pending:
-            a = extract_block(frames[t], grid, r, c)
-            b = extract_block(frames[t + 1], grid, r, c)
-            if compare(a, b, cfg).verdict is Verdict.STATIC:
+            a = block_view(frames[t], grid)[r, c]
+            b = block_view(frames[t + 1], grid)[r, c]
+            if score(a, b, cfg) < cfg.threshold:
                 pixels[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw] = b
                 status[r, c] = t + 1
     return pixels, status, (0, consumed)
@@ -193,6 +193,18 @@ def test_build_matches_a_cell_by_cell_settle_loop():
         assert model.built_from == built_from, method
 
 
+def test_pair_scoring_exactly_the_threshold_leaves_its_cell_unsettled():
+    first = texture(24, 16, 16)
+    second = first.copy()
+    second[:8, :8] += 2  # cell (0, 0) scores exactly 2.0; the others score 0
+    frames = [frame_of(first), frame_of(second)]
+    grid = make_grid(16, 16, 2)
+    model = build_srbi(frames, grid, ComparatorConfig(Method.ABSDIFF, 2.0))
+    assert model.cell_status.tolist() == [[CELL_UNSETTLED, 1], [1, 1]]
+    model = build_srbi(frames, grid, ComparatorConfig(Method.ABSDIFF, np.nextafter(2.0, 3.0)))
+    assert model.cell_status.tolist() == [[1, 1], [1, 1]]
+
+
 def test_settled_blocks_match_their_settle_frame():
     scene = crossing_scene()
     grid = make_grid(32, 32, 8)
@@ -203,7 +215,7 @@ def test_settled_blocks_match_their_settle_frame():
             assert s >= 0
             assert np.array_equal(
                 block_view(model.pixels, grid)[r, c],
-                extract_block(scene.frames[s], grid, r, c),
+                block_view(scene.frames[s], grid)[r, c],
             )
 
 
@@ -379,6 +391,12 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
     with pytest.raises(PnmError):
         load_model(path)
 
+    path = saved_model_path(tmp_path)  # a 16x16 image declared as 17x17 blocks
+    sidecar = tmp_path / "model.pgm.cells"
+    sidecar.write_text(sidecar.read_text().replace("# grid 4", "# grid 17"))
+    with pytest.raises(PnmError, match="not a multiple of the grid"):
+        load_model(path)
+
 
 @pytest.mark.parametrize(
     "ln, text",
@@ -393,6 +411,10 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
         (2, "# grid -4"),
         (3, "# built_from 5 2"),
         (3, "# built_from -1 2"),
+        (20, "# grid 2"),
+        (20, "# grid 4"),
+        (20, "# built_from 0 9"),
+        (4, "0 0 settled 1\xff"),
     ],
     ids=[
         "settled-at-minus-one",
@@ -405,6 +427,10 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
         "grid-negative",
         "built-from-backwards",
         "built-from-below-zero",
+        "second-grid-smaller",
+        "second-grid-same",
+        "second-built-from",
+        "non-ascii",
     ],
 )
 def test_load_rejects_bad_cell_line_and_names_it(tmp_path, ln, text):

@@ -405,6 +405,18 @@ def test_scene_file_errors_name_the_line(tmp_path):
     assert "line 4" in str(err.value)
 
 
+def test_scene_file_rejects_unknown_and_repeated_keys(tmp_path):
+    path = tmp_path / "scene.txt"
+    for text, ln, named in (
+        ("width=32\nheight=32\nframes=4\nsigam=5\n", 4, "'sigam'"),
+        ("width=32\nheight=32\nframes=4\nsigma=5\nsigma=0\n", 5, "'sigma'"),
+        ("width=32\nwidth=32\nheight=32\nframes=4\n", 2, "'width'"),
+    ):
+        path.write_text(text)
+        with pytest.raises(SceneSpecError, match=f"line {ln}: .*{named}"):
+            parse_scene_file(path)
+
+
 def test_scene_file_missing_key(tmp_path):
     path = tmp_path / "scene.txt"
     path.write_text("height=32\nframes=4\n")

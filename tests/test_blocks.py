@@ -1,4 +1,4 @@
-"""Histograms, entropy, grid selection, block geometry."""
+"""Entropy, grid selection, block geometry."""
 
 import math
 
@@ -7,11 +7,9 @@ import pytest
 
 from blockbg.blocks import (
     BlockGrid,
+    block_view,
     entropy_of,
-    extract_block,
     grid_for_delta,
-    histogram,
-    image_entropy,
     make_grid,
     select_grid,
 )
@@ -20,57 +18,33 @@ from blockbg.errors import FrameTooSmall, InconsistentSequence
 from helpers import frame_of, texture
 
 
-# --- histogram ---
+# --- entropy ---
 
 
 def test_histogram_single_level():
-    h = histogram(np.full((2, 2), 7, dtype=np.uint8))
-    assert h.counts[7] == 4
-    assert h.total == 4
-    assert h.probabilities[7] == 1.0
-    assert h.probabilities.sum() == 1.0
+    for level in (0, 7, 255):
+        assert entropy_of(np.full((2, 2), level, dtype=np.uint8)) == 0.0
 
 
 def test_histogram_two_levels():
-    h = histogram(np.array([[0, 0], [255, 255]], dtype=np.uint8))
-    assert h.probabilities[0] == 0.5
-    assert h.probabilities[255] == 0.5
-
-
-def test_histogram_matches_tally_oracle():
-    region = texture(20, 32, 32, lo=0, hi=256)
-    h = histogram(region)
-    tally = [0] * 256
-    for v in region.ravel():
-        tally[int(v)] += 1
-    assert list(h.counts) == tally
-    assert h.total == 32 * 32
+    assert entropy_of(np.array([[0, 0], [255, 255]], dtype=np.uint8)) == 1.0
 
 
 def test_histogram_accepts_frames():
     f = frame_of(texture(21, 16, 16))
-    assert histogram(f).total == 256
+    assert entropy_of(f) == entropy_of(f.pixels)
 
 
 def test_histogram_rejects_empty_region():
     with pytest.raises(ValueError):
-        histogram(np.empty((0, 4), dtype=np.uint8))
-
-
-def test_probabilities_sum_to_one():
-    for seed in range(5):
-        h = histogram(texture(30 + seed, 17, 23, lo=0, hi=256))
-        assert abs(h.probabilities.sum() - 1.0) < 1e-12
-
-
-# --- entropy ---
+        entropy_of(np.empty((0, 4), dtype=np.uint8))
 
 
 def test_entropy_constant_region_is_exactly_zero():
-    h = histogram(np.full((8, 8), 42, dtype=np.uint8))
-    assert image_entropy(h) == 0.0
+    h = entropy_of(np.full((8, 8), 42, dtype=np.uint8))
+    assert h == 0.0
     # no negative zero either
-    assert math.copysign(1.0, image_entropy(h)) == 1.0
+    assert math.copysign(1.0, h) == 1.0
 
 
 def test_entropy_fair_two_level_is_one_bit():
@@ -98,14 +72,12 @@ def test_entropy_is_permutation_invariant():
 
 
 def test_entropy_matches_direct_sum():
-    region = texture(62, 16, 16, lo=0, hi=256)
-    h = histogram(region)
-    want = 0.0
-    for c in h.counts:
-        if c:
-            p = c / h.total
-            want -= p * math.log2(p)
-    assert abs(entropy_of(region) - want) < 1e-12
+    for region in (texture(62, 16, 16, lo=0, hi=256), texture(20, 32, 32, lo=0, hi=256)):
+        tally = [0] * 256
+        for v in region.ravel():
+            tally[int(v)] += 1
+        want = -sum(c / region.size * math.log2(c / region.size) for c in tally if c)
+        assert abs(entropy_of(region) - want) < 1e-12
 
 
 # --- grid selection ---
@@ -212,23 +184,23 @@ def test_make_grid_rejects_nonpositive_g():
 def test_single_cell_grid_is_whole_cropped_frame():
     f = frame_of(texture(80, 17, 19))
     grid = make_grid(19, 17, 1)
-    block = extract_block(f, grid, 0, 0)
+    block = block_view(f, grid)[0, 0]
     assert np.array_equal(block, f.pixels[:17, :19])
 
 
-# --- block extraction ---
+# --- block view ---
 
 
 def test_extract_block_top_left():
     f = frame_of(texture(81, 32, 32))
     grid = make_grid(32, 32, 8)
-    assert np.array_equal(extract_block(f, grid, 0, 0), f.pixels[:4, :4])
+    assert np.array_equal(block_view(f, grid)[0, 0], f.pixels[:4, :4])
 
 
 def test_extract_block_addresses_row_major_cells():
     f = frame_of(texture(82, 32, 48))
     grid = make_grid(48, 32, 8)  # blocks are 6 wide, 4 tall
-    block = extract_block(f, grid, 2, 5)
+    block = block_view(f, grid)[2, 5]
     assert np.array_equal(block, f.pixels[8:12, 30:36])
 
 
@@ -241,7 +213,7 @@ def test_blocks_tile_the_cropped_frame_exactly():
         for col in range(grid.g):
             y0 = row * grid.block_height
             x0 = col * grid.block_width
-            block = extract_block(f, grid, row, col)
+            block = block_view(f, grid)[row, col]
             rebuilt[y0 : y0 + grid.block_height, x0 : x0 + grid.block_width] = block
             seen[y0 : y0 + grid.block_height, x0 : x0 + grid.block_width] += 1
     assert np.array_equal(rebuilt, f.pixels[: grid.cropped_height, : grid.cropped_width])
@@ -251,15 +223,17 @@ def test_blocks_tile_the_cropped_frame_exactly():
 def test_extract_block_rejects_out_of_range_cells():
     f = frame_of(texture(84, 16, 16))
     grid = make_grid(16, 16, 8)
+    blocks = block_view(f, grid)
+    assert blocks.shape == (8, 8, 2, 2)
     with pytest.raises(IndexError):
-        extract_block(f, grid, 8, 0)
+        blocks[8, 0]
     with pytest.raises(IndexError):
-        extract_block(f, grid, 0, -1)
+        blocks[0, 8]
 
 
 def test_extract_block_is_read_only():
     f = frame_of(texture(85, 16, 16))
     grid = make_grid(16, 16, 8)
-    block = extract_block(f, grid, 1, 1)
+    block = block_view(f, grid)[1, 1]
     with pytest.raises(ValueError):
         block[0, 0] = 0

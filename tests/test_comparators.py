@@ -1,4 +1,4 @@
-"""The four block scores, the DCT/zigzag machinery, and the verdict rule."""
+"""The four block scores and the DCT/zigzag machinery."""
 
 import math
 from collections import Counter
@@ -9,19 +9,14 @@ import pytest
 from blockbg.comparators import (
     ComparatorConfig,
     Method,
-    Verdict,
-    absdiff_score,
-    compare,
     dct2,
-    dct_score,
     default_config,
-    entropy_score,
+    score,
     score_blocks,
-    xor_score,
     zigzag_indices,
     zigzag_take,
 )
-from blockbg.blocks import block_view, extract_block, make_grid
+from blockbg.blocks import block_view, make_grid
 from blockbg.errors import ShapeMismatch
 
 from helpers import frame_of, texture
@@ -78,29 +73,36 @@ def zigzag_oracle(height: int, width: int):
     return order
 
 
+# Scores ignore the threshold; the XOR shift is 3 and the DCT keeps 10.
+ABSDIFF = ComparatorConfig(Method.ABSDIFF, 0.0)
+ENTROPY = ComparatorConfig(Method.ENTROPY, 0.0)
+XOR = ComparatorConfig(Method.XOR, 0.0)
+DCT = ComparatorConfig(Method.DCT, 0.0)
+
+
 # --- absdiff ---
 
 
 def test_absdiff_identical_blocks():
     b = texture(0, 8, 8)
-    assert absdiff_score(b, b) == 0.0
+    assert score(b, b, ABSDIFF) == 0.0
 
 
 def test_absdiff_maximal_difference():
     a = np.zeros((4, 4), dtype=np.uint8)
     b = np.full((4, 4), 255, dtype=np.uint8)
-    assert absdiff_score(a, b) == 255.0
+    assert score(a, b, ABSDIFF) == 255.0
 
 
 def test_absdiff_hand_example():
     a = np.array([[0, 10], [20, 30]], dtype=np.uint8)
     b = np.array([[5, 10], [20, 26]], dtype=np.uint8)
-    assert absdiff_score(a, b) == 2.25  # (5 + 0 + 0 + 4) / 4
+    assert score(a, b, ABSDIFF) == 2.25  # (5 + 0 + 0 + 4) / 4
 
 
 def test_absdiff_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        absdiff_score(np.zeros((2, 2)), np.zeros((2, 3)))
+        score(np.zeros((2, 2)), np.zeros((2, 3)), ABSDIFF)
 
 
 # --- entropy ---
@@ -108,13 +110,13 @@ def test_absdiff_shape_mismatch():
 
 def test_entropy_score_identical_blocks():
     b = texture(1, 8, 8)
-    assert entropy_score(b, b) == 0.0
+    assert score(b, b, ENTROPY) == 0.0
 
 
 def test_entropy_score_constant_vs_two_level():
     a = np.full((4, 4), 7, dtype=np.uint8)
     b = np.array([[0, 255]] * 4 + [[255, 0]] * 4, dtype=np.uint8).reshape(4, 4)
-    assert abs(entropy_score(a, b) - 1.0) < 1e-12
+    assert abs(score(a, b, ENTROPY) - 1.0) < 1e-12
 
 
 def test_entropy_score_is_blind_to_permutations():
@@ -124,7 +126,7 @@ def test_entropy_score_is_blind_to_permutations():
     rng.shuffle(shuffled)
     b = shuffled.reshape(8, 8)
     assert not np.array_equal(a, b)
-    assert entropy_score(a, b) == 0.0
+    assert score(a, b, ENTROPY) == 0.0
 
 
 # --- xor ---
@@ -133,34 +135,33 @@ def test_entropy_score_is_blind_to_permutations():
 def test_xor_identical_blocks_any_shift():
     b = texture(4, 8, 8)
     for q in range(8):
-        assert xor_score(b, b, q) == 0.0
+        assert score(b, b, ComparatorConfig(Method.XOR, 0.0, xor_shift=q)) == 0.0
 
 
 def test_xor_opposite_extremes():
     a = np.zeros((4, 4), dtype=np.uint8)
     b = np.full((4, 4), 255, dtype=np.uint8)
-    assert xor_score(a, b, 3) == 1.0  # 0 vs 31 after the shift
+    assert score(a, b, XOR) == 1.0  # 0 vs 31 after the shift
 
 
 def test_xor_same_bucket_scores_zero():
     a = np.full((4, 4), 100, dtype=np.uint8)
     b = np.full((4, 4), 103, dtype=np.uint8)
-    assert xor_score(a, b, 3) == 0.0  # both quantize to 12
+    assert score(a, b, XOR) == 0.0  # both quantize to 12
 
 
 def test_xor_partial_change_fraction():
     a = np.zeros((4, 4), dtype=np.uint8)
     b = a.copy()
     b[0, :] = 255
-    assert xor_score(a, b, 3) == 0.25
+    assert score(a, b, XOR) == 0.25
 
 
 def test_xor_shift_out_of_range():
-    b = texture(5, 4, 4)
     with pytest.raises(ValueError):
-        xor_score(b, b, 8)
+        ComparatorConfig(Method.XOR, 0.0, xor_shift=8)
     with pytest.raises(ValueError):
-        xor_score(b, b, -1)
+        ComparatorConfig(Method.XOR, 0.0, xor_shift=-1)
 
 
 # --- dct2 ---
@@ -250,19 +251,19 @@ def test_zigzag_take_clamps_to_block_area():
     assert len(zigzag_take(m, 10)) == 4
 
 
-# --- dct_score / compare ---
+# --- dct score ---
 
 
 def test_dct_score_identical_blocks():
     b = texture(6, 8, 8)
-    assert dct_score(b, b) == 0.0
+    assert score(b, b, DCT) == 0.0
 
 
 def test_dct_score_constant_blocks():
     a = np.full((8, 8), 100, dtype=np.uint8)
     b = np.full((8, 8), 110, dtype=np.uint8)
     # only the DC coefficient differs: |100-110| * 8 spread over K=10
-    assert abs(dct_score(a, b, 10) - 8.0) < 1e-9
+    assert abs(score(a, b, DCT) - 8.0) < 1e-9
 
 
 def test_dct_score_matches_composed_oracles():
@@ -272,39 +273,29 @@ def test_dct_score_matches_composed_oracles():
         fa = [naive_dct2(a)[r, c] for r, c in zigzag_oracle(8, 8)[:10]]
         fb = [naive_dct2(b)[r, c] for r, c in zigzag_oracle(8, 8)[:10]]
         want = float(np.mean(np.abs(np.array(fa) - np.array(fb))))
-        assert abs(dct_score(a, b, 10) - want) < 1e-9
+        assert abs(score(a, b, DCT) - want) < 1e-9
 
 
 def test_dct_score_rejects_bad_keep():
-    b = texture(7, 4, 4)
-    with pytest.raises(ValueError):
-        dct_score(b, b, 0)
+    for keep in (0, -1):
+        with pytest.raises(ValueError):
+            ComparatorConfig(Method.DCT, 0.0, dct_keep=keep)
 
 
 def test_compare_identical_blocks_are_static():
     b = texture(8, 8, 8)
     for method in Method:
-        result = compare(b, b, default_config(method))
-        assert result.score == 0.0
-        assert result.verdict is Verdict.STATIC
-
-
-def test_compare_threshold_boundary_is_dynamic():
-    a = np.array([[0, 10], [20, 30]], dtype=np.uint8)
-    b = np.array([[5, 10], [20, 26]], dtype=np.uint8)
-    cfg = ComparatorConfig(method=Method.ABSDIFF, threshold=2.25)
-    result = compare(a, b, cfg)
-    assert result.score == 2.25
-    assert result.verdict is Verdict.DYNAMIC  # strict score < threshold
+        cfg = default_config(method)
+        assert score(b, b, cfg) == 0.0 < cfg.threshold
 
 
 def test_compare_dct_constants_under_threshold():
     a = np.full((8, 8), 100, dtype=np.uint8)
     b = np.full((8, 8), 110, dtype=np.uint8)
     cfg = ComparatorConfig(method=Method.DCT, threshold=10.0)
-    result = compare(a, b, cfg)
-    assert abs(result.score - 8.0) < 1e-9
-    assert result.verdict is Verdict.STATIC
+    s = score(a, b, cfg)
+    assert abs(s - 8.0) < 1e-9
+    assert s < cfg.threshold
 
 
 # --- config validation ---
@@ -333,10 +324,10 @@ def test_default_config_accepts_method_names():
 
 def _all_scores(a, b):
     return {
-        Method.ABSDIFF: absdiff_score(a, b),
-        Method.ENTROPY: entropy_score(a, b),
-        Method.XOR: xor_score(a, b, 3),
-        Method.DCT: dct_score(a, b, 10),
+        Method.ABSDIFF: score(a, b, ABSDIFF),
+        Method.ENTROPY: score(a, b, ENTROPY),
+        Method.XOR: score(a, b, XOR),
+        Method.DCT: score(a, b, DCT),
     }
 
 
@@ -415,7 +406,7 @@ def test_stacked_scores_match_per_block_oracles(cfg):
         assert got.shape == (len(cells),)
         for value, (row, col) in zip(got, cells):
             want = _score_oracle(
-                extract_block(fa, grid, row, col), extract_block(fb, grid, row, col), cfg
+                block_view(fa, grid)[row, col], block_view(fb, grid)[row, col], cfg
             )
             if exact:
                 assert value == want, (seed, row, col)

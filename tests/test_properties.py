@@ -15,9 +15,10 @@ from blockbg.background import CELL_BACKFILLED, CELL_UNSETTLED, BackgroundModel,
 from blockbg.bench import Mover, SceneSpec, parse_scene_file, write_scene_file
 from blockbg.blocks import make_grid
 from blockbg.cli import main
-from blockbg.imaging import PREFILTERS
+from blockbg.errors import FrameTooSmall, PnmError
+from blockbg.imaging import PREFILTERS, Frame, load_frame, save_frame
 
-from helpers import write_frames
+from helpers import texture, write_frames
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -155,3 +156,80 @@ def test_scene_file_round_trips(spec):
         path = Path(tmp) / "scene.txt"
         write_scene_file(spec, path)
         assert parse_scene_file(path) == spec
+
+
+def mutated(text: bytes, draw, pieces) -> bytes:
+    """``text`` after one to three edits: a byte replaced, bytes or a drawn
+    piece inserted, or a span deleted."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("replace", "insert", "piece", "delete")))
+        if edit == "replace" and at < len(text):
+            text = text[:at] + draw(st.binary(min_size=1, max_size=1)) + text[at + 1 :]
+        elif edit == "insert":
+            text = text[:at] + draw(st.binary(min_size=1, max_size=3)) + text[at:]
+        elif edit == "piece":
+            text = text[:at] + draw(pieces) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 4)) :]
+    return text
+
+
+# Header tokens a mutation may splice in: other magics, sizes around the
+# 16-pixel minimum and past the payload, maxvals, comments and whitespace.
+HEADER_PIECES = st.sampled_from(
+    (b"P5", b"P6", b"P2", b"15", b"16", b"17", b"0", b"-1", b"65535", b"256", b"254",
+     b"99999999999999999999", b"#", b"# c\n", b"\n", b" ", b"\t")
+)
+
+
+@FIXED
+@given(st.data())
+def test_mutated_pgm_headers_load_or_raise_pnm_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.pgm"
+        save_frame(Frame(texture(0, 16, 17)), path)
+        raw = path.read_bytes()
+        cut = len(raw) - 16 * 17  # the header, ending in its one whitespace byte
+        head = mutated(raw[:cut], data.draw, HEADER_PIECES)
+        payload = raw[cut:][: data.draw(st.integers(0, 16 * 17 * 3 + 8))]
+        path.write_bytes(head + payload)
+        try:
+            frame = load_frame(path)
+        except (PnmError, FrameTooSmall):
+            return
+    assert frame.width >= 16 and frame.height >= 16
+
+
+# Sidecar pieces: header declarations with good and bad values, cell lines
+# with good, repeated, out-of-grid and impossible fields, and line breaks.
+CELL_PIECES = st.sampled_from(
+    (b"# grid 2\n", b"# grid 4\n", b"# grid 0\n", b"# grid 17\n", b"# grid 99999999999\n",
+     b"# built_from 0 2\n", b"# built_from 3 1\n", b"# built_from -1\n",
+     b"0 0 settled 1\n", b"3 3 backfilled -1\n", b"4 0 unsettled -1\n",
+     b"1 1 settled -1\n", b"0 0 moved 1\n", b"0 0 settled 2147483648\n",
+     b"\n", b"#", b" ", b"-", b"\xff")
+)
+
+
+@FIXED
+@given(st.data())
+def test_mutated_cells_sidecars_load_or_raise_pnm_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.pgm"
+        save_model(
+            BackgroundModel(
+                grid=make_grid(16, 16, 4),
+                pixels=texture(1, 16, 16),
+                cell_status=np.array([CELL_UNSETTLED, CELL_BACKFILLED, 0, 1] * 4, dtype=np.int32).reshape(4, 4),
+                built_from=(0, 2),
+            ),
+            path,
+        )
+        sidecar = Path(tmp) / "model.pgm.cells"
+        sidecar.write_bytes(mutated(sidecar.read_bytes(), data.draw, CELL_PIECES))
+        try:
+            model = load_model(path)
+        except PnmError:
+            return
+    assert model.cell_status.shape == (model.grid.g, model.grid.g)
