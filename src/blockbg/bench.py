@@ -17,6 +17,7 @@ noisy-scene check mirrors, never as reproduction targets.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .comparators import ComparatorConfig, Method, default_config
 from .errors import SceneSpecError
 from .foreground import DetectedObject, ForegroundMask
 from .imaging import Frame
+from .keyvalue import read_key_values
 from .pipeline import PipelineParams, resolve_grid, run_detection
 from .validation import VEHICLE, validate
 
@@ -95,8 +97,8 @@ class SceneSpec:
             raise SceneSpecError("scene must be at least 16x16")
         if self.frame_count < 2:
             raise SceneSpecError("scene needs at least 2 frames")
-        if not self.noise_sigma >= 0:  # NaN fails too
-            raise SceneSpecError("noise sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
+            raise SceneSpecError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -448,18 +450,12 @@ def parse_scene_file(path) -> SceneSpec:
 
     Keys: width, height, frames, sigma, seed, each at most once, and one
     ``mover=`` line per mover with values x,y,w,h,intensity,dx,dy. ``#``
-    starts a comment. An unknown or repeated key names its line.
+    starts a comment. An unknown or repeated key, a bad value and a bad
+    mover name their line.
     """
-    text = Path(path).read_text()
-    fields: dict[str, str] = {}
+    fields: dict[str, int | float] = {}
     movers: list[Mover] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SceneSpecError(f"line {ln}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for ln, key, value in read_key_values(path, SceneSpecError, "line"):
         if key == "mover":
             parts = [s.strip() for s in value.split(",")]
             if len(parts) != 7:
@@ -467,30 +463,31 @@ def parse_scene_file(path) -> SceneSpec:
                     f"line {ln}: mover needs x,y,w,h,intensity,dx,dy"
                 )
             try:
-                nums = [int(s) for s in parts]
+                movers.append(Mover(*[int(s) for s in parts]))
             except ValueError as exc:
                 raise SceneSpecError(f"line {ln}: bad mover value: {exc}") from exc
-            movers.append(Mover(*nums))
+            except SceneSpecError as exc:
+                raise SceneSpecError(f"line {ln}: {exc}") from exc
         elif key not in ("width", "height", "frames", "sigma", "seed"):
             raise SceneSpecError(f"line {ln}: unknown key {key!r}")
         elif key in fields:
             raise SceneSpecError(f"line {ln}: key {key!r} given twice")
         else:
-            fields[key] = value
+            try:
+                fields[key] = float(value) if key == "sigma" else int(value)
+            except ValueError as exc:
+                raise SceneSpecError(f"line {ln}: bad {key} value: {exc}") from exc
     try:
-        spec = SceneSpec(
-            width=int(fields["width"]),
-            height=int(fields["height"]),
-            frame_count=int(fields["frames"]),
+        return SceneSpec(
+            width=fields["width"],
+            height=fields["height"],
+            frame_count=fields["frames"],
             movers=tuple(movers),
-            noise_sigma=float(fields.get("sigma", "0")),
-            seed=int(fields.get("seed", "0")),
+            noise_sigma=fields.get("sigma", 0.0),
+            seed=fields.get("seed", 0),
         )
     except KeyError as exc:
         raise SceneSpecError(f"scene file missing required key {exc}") from exc
-    except ValueError as exc:
-        raise SceneSpecError(f"scene file has a bad value: {exc}") from exc
-    return spec
 
 
 def write_scene_file(spec: SceneSpec, path) -> None:

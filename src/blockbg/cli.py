@@ -56,6 +56,7 @@ from .foreground import (
     mask_to_frame,
 )
 from .imaging import DEFAULT_PATTERN, PREFILTERS, Frame, load_sequence, prefilter, save_frame
+from .keyvalue import read_key_values
 from .pipeline import PipelineParams, resolve_grid, run_detection
 from .validation import HeuristicParams
 
@@ -214,17 +215,11 @@ def _config_flags(path: str, command: str, commands: dict[str, argparse.Argument
         for name, p in commands.items()
     }
     try:
-        text = Path(path).read_text()
+        entries = read_key_values(path, ConfigError, "config line")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     flags = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {ln}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for ln, key, value in entries:
         dest = key.replace("-", "_")
         if not any(dest in own for own in options.values()):
             raise ConfigError(f"config line {ln}: unknown key {key!r}")

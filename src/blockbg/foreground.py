@@ -57,7 +57,7 @@ class ForegroundMask:
 def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT_SHIFT) -> np.ndarray:
     """Raw per-pixel change map over the cropped extent.
 
-    change[p] = 1 iff (model[p] >> shift) XOR (frame[p] >> shift) != 0.
+    change[p] = 1 iff (model[p] XOR frame[p]) >> shift != 0: the buckets differ.
     The model must be fully covered (settled or backfilled everywhere).
     """
     if not 0 <= shift <= 7:
@@ -72,33 +72,33 @@ def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT
             f"frame {frame.width}x{frame.height} smaller than model extent {cw}x{ch}"
         )
     window = frame.pixels[:ch, :cw]
-    changed = (model.pixels >> shift) ^ (window >> shift)
-    return (changed != 0).astype(np.uint8)
+    return (((model.pixels ^ window) >> shift) != 0).astype(np.uint8)
+
+
+def _window_sum(a: np.ndarray, r: int, axis: int) -> np.ndarray:
+    """One pass of a separable window count: ``a`` summed over -r..r along ``axis``."""
+    out = a.copy()
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    for d in range(1, r + 1):  # slices past the edge are empty
+        dst[d:] += src[:-d]
+        dst[:-d] += src[d:]
+    return out
 
 
 def median_filter_mask(bits: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarray:
-    """Binary median: keep a pixel iff strictly more than half its window
-    (clipped to bounds) is set. Even splits resolve to 0.
+    """Binary median of 0/1 ``bits``: keep a pixel iff strictly more than
+    half its window (clipped to bounds) is set. Even splits resolve to 0.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.size == 0:
         raise ValueError("mask bits must be a non-empty 2-D array")
-    h, w = bits.shape
     r = window // 2
-    # Summed-area table P[y, x] = sum of bits[:y, :x], edge-padded by r so
-    # that index i + r reads P[clip(i)]: windows clip to bounds for free.
-    # uint32 sums wrap past 2**32 set pixels, but each window's four-term
-    # difference is exact modulo 2**32.
-    p = np.zeros((h + 1, w + 1), dtype=np.uint32)
-    np.cumsum(np.cumsum(bits, axis=0, dtype=np.uint32), axis=1, out=p[1:, 1:])
-    p = np.pad(p, r, mode="edge")
-    ones = p[window:, window:] - p[:-window, window:] - p[window:, :-window] + p[:-window, :-window]
-    rows = np.pad(np.arange(h + 1), r, mode="edge")
-    cols = np.pad(np.arange(w + 1), r, mode="edge")
-    in_bounds = (rows[window:] - rows[:-window])[:, None] * (cols[window:] - cols[:-window])
-    return (2 * ones > in_bounds).astype(np.uint8)
+    dtype = np.min_scalar_type(window * window)  # holds any window's count
+    ones = _window_sum(_window_sum(bits.astype(dtype, copy=False), r, 0), r, 1)
+    ny, nx = (_window_sum(np.ones(k, dtype), r, 0) for k in bits.shape)  # in-bounds extents
+    return (ones > (ny[:, None] * nx) // 2).astype(np.uint8)
 
 
 def make_mask(

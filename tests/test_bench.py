@@ -159,6 +159,9 @@ def test_scene_spec_validation():
         SceneSpec(width=32, height=32, frame_count=4, noise_sigma=-1.0)
     with pytest.raises(SceneSpecError):
         SceneSpec(width=32, height=32, frame_count=4, noise_sigma=float("nan"))
+    for sigma in (float("inf"), float("-inf")):
+        with pytest.raises(SceneSpecError, match="finite"):
+            SceneSpec(width=32, height=32, frame_count=4, noise_sigma=sigma)
     with pytest.raises(SceneSpecError):
         Mover(0, 0, 0, 4, 200, 1, 0)
     with pytest.raises(SceneSpecError):
@@ -403,6 +406,21 @@ def test_scene_file_errors_name_the_line(tmp_path):
     with pytest.raises(SceneSpecError) as err:
         parse_scene_file(path)
     assert "line 4" in str(err.value)
+
+    for text, ln, named in (
+        ("width=32\nheight=32\nseed=1.5\nframes=4\n", 3, "bad seed value"),
+        ("width=32\nheight=32\nframes=4\nmover=0,0,0,4,100,1,1\n", 4, "positive size"),
+        ("width=32\nheight=32\nframes=4\nmover=0,0,4,4,300,1,1\n", 4, "intensity 300"),
+        ("width=32\nheight=32\nframes=4\n# note\nseed=1\xff\n", 5, "0xff is not UTF-8"),
+        ("width=32\r\n\x80height=32\nframes=4\n", 2, "0x80 is not UTF-8"),
+        ("\xc3", 1, "0xc3 is not UTF-8"),
+    ):
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(SceneSpecError, match=f"^line {ln}: .*{named}"):
+            parse_scene_file(path)
+    path.write_text("width=32\nheight=32\nframes=4\nsigma=inf\n")
+    with pytest.raises(SceneSpecError, match="finite"):
+        parse_scene_file(path)
 
 
 def test_scene_file_rejects_unknown_and_repeated_keys(tmp_path):

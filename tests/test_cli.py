@@ -386,6 +386,25 @@ def test_config_file_validation(tmp_path, capsys):
         assert code == 2 and named in stderr, text
 
 
+def test_config_and_scene_files_name_the_line_of_a_non_utf8_byte(tmp_path, capsys):
+    frames = static_dir(tmp_path)
+    out = tmp_path / "model.pgm"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"# comment\nmethod=absdiff\r\nthreshold=5\xff\n")
+    code, _, stderr = run(
+        capsys, "model", "--input", str(frames), "--out", str(out), "--config", str(cfg),
+    )
+    assert code == 2
+    assert "config line 3: byte 0xff is not UTF-8" in stderr
+    assert not out.exists()
+
+    scene = tmp_path / "scene.txt"
+    scene.write_bytes(b"width=32\nheight=32\nframes=4\nseed=1\xff\n")
+    code, _, stderr = run(capsys, "bench", "--scene", str(scene), "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert "line 4: byte 0xff is not UTF-8" in stderr
+
+
 def test_config_file_cannot_add_the_other_model_source(tmp_path, capsys):
     frames = mover_dir(tmp_path)
     model = tmp_path / "model.pgm"

@@ -205,6 +205,14 @@ def test_median_matches_double_loop_oracle():
         window = 3 if trial % 3 else 5
         got = median_filter_mask(bits, window)
         assert np.array_equal(got, naive_median(bits, window)), (trial, window)
+    # Windows wider than the mask clip their shifted slices; on 40x40, a
+    # 17-wide window holds 289 pixels, more than a uint8 count can.
+    for shape in ((1, 40), (40, 1), (2, 2), (5, 33), (40, 40)):
+        for window in (7, 17):
+            for p in (0.3, 0.5, 0.7):
+                bits = (rng.random(shape) < p).astype(np.uint8)
+                got = median_filter_mask(bits, window)
+                assert np.array_equal(got, naive_median(bits, window)), (shape, window, p)
 
 
 # --- make_mask ---

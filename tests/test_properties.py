@@ -4,6 +4,9 @@ Every property draws a fixed, bounded set of examples (``derandomize``, no
 example database), so the suite tests the same inputs on every run.
 """
 
+import contextlib
+import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -14,8 +17,8 @@ from hypothesis import strategies as st
 from blockbg.background import CELL_BACKFILLED, CELL_UNSETTLED, BackgroundModel, load_model, save_model
 from blockbg.bench import Mover, SceneSpec, parse_scene_file, write_scene_file
 from blockbg.blocks import make_grid
-from blockbg.cli import main
-from blockbg.errors import FrameTooSmall, PnmError
+from blockbg.cli import _comparator_config, _config_flags, _pipeline_params, build_parser, main
+from blockbg.errors import ConfigError, FrameTooSmall, PnmError, SceneSpecError
 from blockbg.imaging import PREFILTERS, Frame, load_frame, save_frame
 
 from helpers import texture, write_frames
@@ -233,3 +236,61 @@ def test_mutated_cells_sidecars_load_or_raise_pnm_errors(data):
         except PnmError:
             return
     assert model.cell_status.shape == (model.grid.g, model.grid.g)
+
+
+# Config pieces: detect's keys with good and bad values, a key of another
+# subcommand, the other model source, comment and line breaks, non-UTF-8.
+CONFIG_PIECES = st.sampled_from(
+    (b"method=dct\n", b"method=dctt\n", b"threshold=nan\n", b"window=4\n", b"grid=7\n",
+     b"no_validate=maybe\n", b"no-validate=yes\n", b"iou=0.7\n", b"model=m.pgm\n",
+     b"max_frames=99999999999999999999\n", b"=", b"#", b"\n", b"\r", b" ", b"\xff", b"\xc3")
+)
+
+
+@FIXED
+@given(st.data())
+def test_mutated_config_files_parse_or_raise_config_errors(data):
+    parser, commands = build_parser()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        text = b"# detect settings\nmethod=xor\nthreshold=0.5\nxor-shift=3\nwindow=5\nno_validate=false\n"
+        path.write_bytes(mutated(text, data.draw, CONFIG_PIECES))
+        argv = ["detect", "--input", tmp, "--out-dir", tmp, "--model-frames", "3", "--config", str(path)]
+        try:
+            flags = _config_flags(path, "detect", commands)
+            with contextlib.redirect_stderr(io.StringIO()):
+                args = parser.parse_args(argv[:1] + flags + argv[1:])
+            _comparator_config(args)
+            _pipeline_params(args)
+        except ConfigError:
+            return
+        except SystemExit as exc:  # argparse's own usage error
+            assert exc.code == 2
+            return
+    assert args.command == "detect"
+
+
+# Scene pieces: keys with bad, non-finite and out-of-range values, movers
+# with too few fields or an empty size, separators, non-UTF-8.
+SCENE_PIECES = st.sampled_from(
+    (b"sigma=inf\n", b"sigma=nan\n", b"sigma=-1\n", b"seed=1.5\n", b"width=8\n", b"frames=1\n",
+     b"mover=0,0,0,4,100,1,1\n", b"mover=1,2,3\n", b"mover=1,2,3,4,300,0,0\n", b"sigam=5\n",
+     b"1e999", b"=", b",", b"#", b"\n", b" ", b"-", b"\xff", b"\xc3")
+)
+
+
+@FIXED
+@given(st.data())
+def test_mutated_scene_files_parse_or_raise_scene_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.txt"
+        write_scene_file(
+            SceneSpec(64, 48, 10, (Mover(-8, 10, 12, 8, 220, 2, 0), Mover(5, 5, 6, 6, 30, 0, 1)), 5.0, 7),
+            path,
+        )
+        path.write_bytes(mutated(path.read_bytes(), data.draw, SCENE_PIECES))
+        try:
+            spec = parse_scene_file(path)
+        except SceneSpecError:
+            return
+    assert spec.width >= 16 and spec.height >= 16 and math.isfinite(spec.noise_sigma)
