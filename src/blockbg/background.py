@@ -5,7 +5,8 @@ frames are compared, and when a cell is judged static its pixels are
 committed verbatim from the later frame of the pair. Each pair scores the
 still unsettled cells, one grid row per call, and each cell settles at
 most once; building stops when every cell has settled or the frame budget
-runs out.
+runs out. A caller may keep each pair's scores across builds over the
+same frames, so a rebuild scores only the cells no earlier build did.
 
 Cell status bookkeeping: a cell is either unsettled, settled at a frame
 index (the later frame of the agreeing pair), or backfilled from a
@@ -14,6 +15,7 @@ fallback frame after the budget ran out.
 
 from __future__ import annotations
 
+from collections.abc import MutableSequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +59,7 @@ def build_srbi(
     grid: BlockGrid,
     cfg: ComparatorConfig,
     max_frames: int = DEFAULT_MAX_FRAMES,
+    scores: MutableSequence[np.ndarray] | None = None,
 ) -> BackgroundModel:
     """Build the SRBI from a frame sequence (any iterable).
 
@@ -65,9 +68,16 @@ def build_srbi(
     Each frame is checked against the grid and frame 0 as it arrives. A
     partial model (coverage < 1) is a normal return, not an error; see
     ``backfill``.
+
+    ``scores[k]`` is the (g, g) float64 score grid of pair k (frames k and
+    k + 1), NaN where no build has scored the cell yet. The build appends
+    a grid when it first reaches a pair, scores only the pending cells that
+    are still NaN, and writes their scores back, so a later build over the
+    same frames reuses them. None starts an empty list.
     """
     if max_frames < 2:
         raise ValueError(f"max_frames must be >= 2, got {max_frames}")
+    scores = [] if scores is None else scores
     g = grid.g
     status = np.full((g, g), CELL_UNSETTLED, dtype=np.int32)
     pixels = np.zeros((grid.cropped_height, grid.cropped_width), dtype=np.uint8)
@@ -91,13 +101,17 @@ def build_srbi(
             )
         blocks_a = block_view(prev, grid)
         blocks_b = block_view(frame, grid)
-        # One grid row of pending blocks per call bounds the temporaries.
-        for row in np.flatnonzero(pending.any(axis=1)):
-            cols = np.flatnonzero(pending[row])
-            scores = score_blocks(blocks_a[row, cols], blocks_b[row, cols], cfg)
-            static = cols[scores < cfg.threshold]
-            model_blocks[row, static] = blocks_b[row, static]
-            status[row, static] = consumed
+        if len(scores) < consumed:
+            scores.append(np.full((g, g), np.nan))
+        pair_scores = scores[consumed - 1]
+        unscored = pending & np.isnan(pair_scores)
+        # One grid row of unscored blocks per call bounds the temporaries.
+        for row in np.flatnonzero(unscored.any(axis=1)):
+            cols = np.flatnonzero(unscored[row])
+            pair_scores[row, cols] = score_blocks(blocks_a[row, cols], blocks_b[row, cols], cfg)
+        static = pending & (pair_scores < cfg.threshold)
+        model_blocks[static] = blocks_b[static]
+        status[static] = consumed
         prev = frame
         consumed += 1
     if consumed < 2:
@@ -136,13 +150,15 @@ def update_srbi(
     frames,
     cfg: ComparatorConfig,
     max_frames: int = DEFAULT_MAX_FRAMES,
+    scores: MutableSequence[np.ndarray] | None = None,
 ) -> BackgroundModel:
     """Rebuild from newer frames; keep the old model unless coverage holds up.
 
     The new model is adopted only when its coverage is at least the old
     one's, so a burst of activity can never degrade an established model.
+    ``scores`` is passed to ``build_srbi``.
     """
-    fresh = build_srbi(frames, model.grid, cfg, max_frames=max_frames)
+    fresh = build_srbi(frames, model.grid, cfg, max_frames=max_frames, scores=scores)
     if coverage(fresh) >= coverage(model):
         return fresh
     return model

@@ -346,8 +346,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             model = backfill(model, pulled[-1])
             print(f"backfilled {k} unsettled cell(s)", file=sys.stderr)
 
-    # The last max_frames detected frames, kept only for inline rebuilds.
+    # The last max_frames detected frames, kept only for inline rebuilds, and
+    # the rebuilds' block scores: scores[k] belongs to recent[k], recent[k + 1].
     recent = deque(maxlen=max_frames if args.model_frames is not None and rebuild_every else 0)
+    scores = deque()
     out_dir.mkdir(parents=True, exist_ok=True)
     n_frames = n_objects = 0
     with open(out_dir / "objects.csv", "w", newline="") as fh:
@@ -358,13 +360,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         for i, frame in enumerate(chain(pulled, frames)):
             if len(recent) >= 2 and i % rebuild_every == 0:
                 # the model in use is complete, so only complete rebuilds are adopted
-                model = update_srbi(model, recent, cfg, max_frames=max_frames)
+                model = update_srbi(model, recent, cfg, max_frames=max_frames, scores=scores)
             ((mask, objects),) = run_detection(model, [frame], params)
             save_frame(mask_to_frame(mask), out_dir / f"mask_{i:06d}.pgm")
             writer.writerows(
                 (i, oi, o.x, o.y, o.w, o.h, o.area, o.label, f"{o.score:.6f}")
                 for oi, o in enumerate(objects)
             )
+            if len(recent) == recent.maxlen and scores:
+                scores.popleft()  # its pair loses recent[0]
             recent.append(frame)
             n_frames, n_objects = i + 1, n_objects + len(objects)
     _echo_config(args, out_dir / "config.txt")

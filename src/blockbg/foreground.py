@@ -88,12 +88,18 @@ def _window_sum(a: np.ndarray, r: int, axis: int) -> np.ndarray:
 def median_filter_mask(bits: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarray:
     """Binary median of 0/1 ``bits``: keep a pixel iff strictly more than
     half its window (clipped to bounds) is set. Even splits resolve to 0.
+    Any other value raises ValueError.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.size == 0:
         raise ValueError("mask bits must be a non-empty 2-D array")
+    # For integers the extremes decide; other dtypes may hold a 0.5 between.
+    values = (bits.min(), bits.max()) if bits.dtype.kind in "biu" else np.unique(bits)
+    for v in values:
+        if v != 0 and v != 1:
+            raise ValueError(f"mask bits must be 0 or 1, got {v}")
     r = window // 2
     dtype = np.min_scalar_type(window * window)  # holds any window's count
     ones = _window_sum(_window_sum(bits.astype(dtype, copy=False), r, 0), r, 1)

@@ -1,16 +1,22 @@
 """End-to-end command line behavior: outputs, exit codes, precedence."""
 
 import re
+from collections import deque
 
 import numpy as np
 import pytest
 
+import blockbg.background
+import blockbg.cli
 import blockbg.imaging
-from blockbg.background import load_model
-from blockbg.bench import Mover, SceneSpec, write_scene_file
+from blockbg.background import backfill, build_srbi, coverage, load_model, update_srbi
+from blockbg.bench import Mover, SceneSpec, gen_scene, write_scene_file
+from blockbg.blocks import make_grid
 from blockbg.cli import main
-from blockbg.foreground import DEFAULT_WINDOW
+from blockbg.comparators import Method, default_config
+from blockbg.foreground import DEFAULT_WINDOW, mask_to_frame
 from blockbg.imaging import load_frame
+from blockbg.pipeline import PipelineParams, run_detection
 
 from helpers import texture, write_frames
 
@@ -210,6 +216,116 @@ def test_detect_rebuild_cycle_matches_single_model_run(tmp_path, capsys):
     for i in range(8):
         name = f"mask_{i:06d}.pgm"
         assert (plain / name).read_bytes() == (cycled / name).read_bytes()
+
+
+def sliding_scene(tmp_path):
+    """14 noisy frames with two small fast movers: a cell's verdict changes
+    from pair to pair, yet a 4-frame window can settle every cell."""
+    spec = SceneSpec(
+        64, 48, 14,
+        movers=(Mover(0, 8, 6, 6, 230, 7, 0), Mover(56, 28, 6, 4, 20, -9, 1)),
+        noise_sigma=4.0, seed=0,
+    )
+    d = tmp_path / "scene"
+    d.mkdir()
+    write_frames(d, [f.pixels for f in gen_scene(spec).frames])
+    return d, [load_frame(p) for p in sorted(d.glob("*.pgm"))]
+
+
+def oracle_detect(frames, method, model_frames, max_frames, rebuild_every):
+    """detect's loop, with each rebuild scoring its window from scratch.
+    Returns the mask images, the objects.csv rows and the adoption count."""
+    cfg = default_config(method)
+    params = PipelineParams(grid=8)
+    grid = make_grid(frames[0].width, frames[0].height, 8)
+    model = build_srbi(frames[:model_frames], grid, cfg, max_frames)
+    if coverage(model) < 1.0:
+        model = backfill(model, frames[model.built_from[1] - 1])
+    recent = deque(maxlen=max_frames)
+    masks, rows, adopted = [], [], 0
+    for i, frame in enumerate(frames):
+        if len(recent) >= 2 and i % rebuild_every == 0:
+            rebuilt = update_srbi(model, recent, cfg, max_frames)
+            adopted += rebuilt is not model
+            model = rebuilt
+        ((mask, objects),) = run_detection(model, [frame], params)
+        masks.append(mask_to_frame(mask).pixels)
+        rows += [
+            f"{i},{oi},{o.x},{o.y},{o.w},{o.h},{o.area},{o.label},{o.score:.6f}"
+            for oi, o in enumerate(objects)
+        ]
+        recent.append(frame)
+    return masks, rows, adopted
+
+
+@pytest.mark.parametrize("rebuild_every", (1, 2))
+@pytest.mark.parametrize("method", [m.value for m in Method])
+def test_detect_sliding_rebuilds_match_rebuilding_from_scratch(tmp_path, capsys, method, rebuild_every):
+    # With --max-frames 4 the window drops its oldest frame from frame 4 on,
+    # so every later rebuild must forget the scores of the pair it lost.
+    d, frames = sliding_scene(tmp_path)
+    out_dir = tmp_path / "out"
+    code, _, _ = run(
+        capsys, "detect", "--input", str(d), "--model-frames", "3", "--max-frames", "4",
+        "--rebuild-every", str(rebuild_every), "--method", method, "--grid", "8",
+        "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    masks, rows, adopted = oracle_detect(frames, method, 3, 4, rebuild_every)
+    assert adopted > 0  # the rebuilt models are in use
+    assert (out_dir / "objects.csv").read_text().splitlines()[1:] == rows
+    for i, want in enumerate(masks):
+        assert np.array_equal(load_frame(out_dir / f"mask_{i:06d}.pgm").pixels, want), i
+
+
+def count_scored_cells(monkeypatch):
+    """Patch score_blocks to tally the blocks it scores; returns the tally."""
+    tally = [0]
+    original = blockbg.background.score_blocks
+
+    def counting(a, b, cfg):
+        tally[0] += len(a)
+        return original(a, b, cfg)
+
+    monkeypatch.setattr(blockbg.background, "score_blocks", counting)
+    return tally
+
+
+@pytest.mark.parametrize("max_frames", ("150", "4"))
+def test_detect_rebuilds_score_each_frame_pair_once(tmp_path, capsys, monkeypatch, max_frames):
+    d, frames = sliding_scene(tmp_path)
+    tally = count_scored_cells(monkeypatch)
+    rebuilt = []  # cells each rebuild scored
+
+    def counting_update(*args, **kwargs):
+        before = tally[0]
+        model = update_srbi(*args, **kwargs)
+        rebuilt.append(tally[0] - before)
+        return model
+
+    monkeypatch.setattr(blockbg.cli, "update_srbi", counting_update)
+    code, _, _ = run(
+        capsys, "detect", "--input", str(d), "--model-frames", "3", "--max-frames", max_frames,
+        "--rebuild-every", "1", "--method", "dct", "--grid", "8", "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 0 and len(rebuilt) == len(frames) - 2
+    assert sum(rebuilt) <= 8 * 8 * (len(frames) - 1)
+
+
+def test_a_second_build_with_the_same_scores_scores_nothing(monkeypatch):
+    spec = SceneSpec(64, 48, 10, movers=(Mover(0, 8, 16, 10, 230, 5, 0),), noise_sigma=4.0, seed=3)
+    frames = gen_scene(spec).frames
+    grid = make_grid(64, 48, 8)
+    cfg = default_config(Method.DCT)
+    tally = count_scored_cells(monkeypatch)
+    scores = []
+    first = build_srbi(frames, grid, cfg, scores=scores)
+    assert tally[0] > 0 and len(scores) == first.built_from[1] - 1
+    tally[0] = 0
+    second = build_srbi(frames, grid, cfg, scores=scores)
+    assert tally[0] == 0
+    assert np.array_equal(second.pixels, first.pixels)
+    assert np.array_equal(second.cell_status, first.cell_status)
 
 
 def test_detect_writes_masks_up_to_a_bad_frame(tmp_path, capsys):

@@ -197,6 +197,18 @@ def test_median_rejects_bad_windows():
             median_filter_mask(bits, window=bad)
 
 
+def test_median_rejects_values_other_than_0_and_1():
+    # A 0/255 mask counted as values would come back with a 3x3 block set.
+    bits = np.zeros((5, 5), dtype=np.uint8)
+    bits[2, 2] = 255
+    with pytest.raises(ValueError, match="mask bits must be 0 or 1, got 255"):
+        median_filter_mask(bits)
+    for bad in (-1, 0.5, np.nan):
+        with pytest.raises(ValueError, match="mask bits must be 0 or 1"):
+            median_filter_mask(np.full((5, 5), bad))
+    assert median_filter_mask(np.ones((5, 5), dtype=bool)).all()
+
+
 def test_median_matches_double_loop_oracle():
     rng = np.random.default_rng(40)
     for trial in range(30):
