@@ -352,15 +352,13 @@ def frames_to_reach(model_status: np.ndarray, fraction: float, g: int) -> int:
 
 def bench_methods(
     spec: SceneSpec,
-    configs: list[ComparatorConfig] | None = None,
     params: PipelineParams | None = None,
     iou_threshold: float = DEFAULT_IOU,
     max_frames: int = DEFAULT_MAX_FRAMES,
     jobs: int = 1,
 ) -> list[BenchRow]:
     """Run the full pipeline once per comparator over one scene."""
-    if configs is None:
-        configs = [default_config(m) for m in Method]
+    configs = [default_config(m) for m in Method]
     if params is None:
         params = PipelineParams()
     scene = gen_scene(spec)
@@ -374,7 +372,6 @@ def bench_methods(
     def run_one(cfg: ComparatorConfig) -> BenchRow:
         model = build_srbi(scene.frames, grid, cfg, max_frames=max_frames)
         cov = coverage(model)
-        reach = frames_to_reach(model.cell_status, 1.0, grid.g)
         if cov < 1.0:
             model = backfill(model, scene.frames[model.built_from[1] - 1])
         results = run_detection(model, scene.frames, params)
@@ -387,7 +384,7 @@ def bench_methods(
             method=cfg.method,
             metrics=metrics,
             coverage=cov,
-            frames_to_cover=reach if reach >= 0 else model.built_from[1],
+            frames_to_cover=model.built_from[1],  # a build stops at the pair settling its last cell
         )
 
     if jobs > 1:
@@ -456,27 +453,22 @@ def parse_scene_file(path) -> SceneSpec:
     fields: dict[str, int | float] = {}
     movers: list[Mover] = []
     for ln, key, value in read_key_values(path, SceneSpecError, "line"):
-        if key == "mover":
-            parts = [s.strip() for s in value.split(",")]
-            if len(parts) != 7:
-                raise SceneSpecError(
-                    f"line {ln}: mover needs x,y,w,h,intensity,dx,dy"
-                )
-            try:
+        try:
+            if key == "mover":
+                parts = [s.strip() for s in value.split(",")]
+                if len(parts) != 7:
+                    raise SceneSpecError("mover needs x,y,w,h,intensity,dx,dy")
                 movers.append(Mover(*[int(s) for s in parts]))
-            except ValueError as exc:
-                raise SceneSpecError(f"line {ln}: bad mover value: {exc}") from exc
-            except SceneSpecError as exc:
-                raise SceneSpecError(f"line {ln}: {exc}") from exc
-        elif key not in ("width", "height", "frames", "sigma", "seed"):
-            raise SceneSpecError(f"line {ln}: unknown key {key!r}")
-        elif key in fields:
-            raise SceneSpecError(f"line {ln}: key {key!r} given twice")
-        else:
-            try:
+            elif key not in ("width", "height", "frames", "sigma", "seed"):
+                raise SceneSpecError(f"unknown key {key!r}")
+            elif key in fields:
+                raise SceneSpecError(f"key {key!r} given twice")
+            else:
                 fields[key] = float(value) if key == "sigma" else int(value)
-            except ValueError as exc:
-                raise SceneSpecError(f"line {ln}: bad {key} value: {exc}") from exc
+        except ValueError as exc:  # a number that does not parse
+            raise SceneSpecError(f"line {ln}: bad {key} value: {exc}") from exc
+        except SceneSpecError as exc:
+            raise SceneSpecError(f"line {ln}: {exc}") from exc
     try:
         return SceneSpec(
             width=fields["width"],

@@ -296,6 +296,7 @@ def _build(
     params: PipelineParams,
     cfg: ComparatorConfig,
     max_frames: int,
+    scores: deque | None = None,
 ) -> BackgroundModel:
     """Build a model from the head of ``frames``; every frame the build
     pulls is appended to ``pulled``."""
@@ -307,7 +308,7 @@ def _build(
             pulled.append(frame)
             yield frame
 
-    return build_srbi(pulling(), grid, cfg, max_frames=max_frames)
+    return build_srbi(pulling(), grid, cfg, max_frames=max_frames, scores=scores)
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
@@ -337,19 +338,21 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     frames = _frames(args)
     pulled = []  # frames the inline build decoded; detection starts with them
+    scores = deque()  # pair k's block scores: frames k, k + 1 of the build, then of recent
     if args.model is not None:
         model = load_model(args.model)  # frames smaller than it fail in subtract
     else:
-        model = _build(islice(frames, args.model_frames), pulled, params, cfg, max_frames)
+        model = _build(islice(frames, args.model_frames), pulled, params, cfg, max_frames, scores)
         if coverage(model) < 1.0:
             k = int((model.cell_status == CELL_UNSETTLED).sum())
             model = backfill(model, pulled[-1])
             print(f"backfilled {k} unsettled cell(s)", file=sys.stderr)
+    # The loop takes the pulled frames over. Through iter() the list is freed
+    # once the loop has passed it; chain would hold it until frames ran out.
+    frames, pulled = chain(iter(pulled), frames), None
 
-    # The last max_frames detected frames, kept only for inline rebuilds, and
-    # the rebuilds' block scores: scores[k] belongs to recent[k], recent[k + 1].
+    # The last max_frames detected frames, kept only for inline rebuilds.
     recent = deque(maxlen=max_frames if args.model_frames is not None and rebuild_every else 0)
-    scores = deque()
     out_dir.mkdir(parents=True, exist_ok=True)
     n_frames = n_objects = 0
     with open(out_dir / "objects.csv", "w", newline="") as fh:
@@ -357,7 +360,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         writer.writerow(
             ("frame_index", "object_index", "x", "y", "w", "h", "area", "label", "score")
         )
-        for i, frame in enumerate(chain(pulled, frames)):
+        for i, frame in enumerate(frames):
             if len(recent) >= 2 and i % rebuild_every == 0:
                 # the model in use is complete, so only complete rebuilds are adopted
                 model = update_srbi(model, recent, cfg, max_frames=max_frames, scores=scores)

@@ -72,40 +72,30 @@ class Frame:
         return np.array_equal(self.pixels, other.pixels)
 
 
+_FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*([^\s#]*)")  # separators, then one header field
+
+
 def _read_header(data: bytes):
     """Parse a P5/P6 header; returns (magic, width, height, payload offset).
 
-    Whitespace-separated tokens with ``#`` comments running to end of line,
+    Whitespace-separated fields with ``#`` comments running to end of line,
     exactly one whitespace byte after the maxval, payload after that.
     """
-    if len(data) < 2 or data[:1] != b"P" or data[1:2] not in (b"5", b"6"):
+    if data[:2] not in (b"P5", b"P6"):
         raise PnmError("malformed header: not a binary PGM/PPM (P5/P6) file")
     magic = data[:2].decode("ascii")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        # skip whitespace and comments
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch.isspace():
-                pos += 1
-            elif ch == b"#":
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            if data[pos : pos + 1] == b"#":
-                break
-            pos += 1
-        token = data[start:pos]
-        if not token or not token.isdigit():
+    fields, pos = [], 2
+    for _ in range(3):
+        m = _FIELD.match(data, pos)
+        token, pos = m[1], m.end()
+        if not token.isdigit():
             raise PnmError("malformed header: expected decimal header field")
-        fields.append(int(token))
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
+        try:
+            fields.append(int(token))
+        except ValueError:  # past the interpreter's limit on digits
+            raise PnmError(f"malformed header: header field of {len(token)} digits is too long") from None
+    if not data[pos : pos + 1].isspace():
         raise PnmError("malformed header: missing whitespace before payload")
-    pos += 1
     width, height, maxval = fields
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval}: only 255 is accepted")
@@ -113,7 +103,7 @@ def _read_header(data: bytes):
         raise FrameTooSmall(
             f"image is {width}x{height}; minimum supported dimension is {MIN_DIM}"
         )
-    return magic, width, height, pos
+    return magic, width, height, pos + 1
 
 
 def load_frame(path) -> Frame:
@@ -207,24 +197,14 @@ def _median3(px: np.ndarray) -> np.ndarray:
     always come from the window's own multiset.
     """
     h, w = px.shape
-    stack = np.full((9, h, w), 256, dtype=np.uint16)  # 256 sorts after any pixel
-    k = 0
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            dst_y = slice(max(0, -dy), h - max(0, dy))
-            src_y = slice(max(0, dy), h + min(0, dy))
-            dst_x = slice(max(0, -dx), w - max(0, dx))
-            src_x = slice(max(0, dx), w + min(0, dx))
-            stack[k, dst_y, dst_x] = px[src_y, src_x]
-            k += 1
+    padded = np.pad(px.astype(np.uint16), 1, constant_values=256)  # 256 sorts after any pixel
+    # the (h, w) views at the 3x3 offsets, copied into one (9, h, w) stack
+    stack = np.lib.stride_tricks.sliding_window_view(padded, (h, w)).reshape(9, h, w)
     stack.sort(axis=0)
-    wy = np.full(h, 3, dtype=np.intp)
-    wy[0] = wy[-1] = 2
-    wx = np.full(w, 3, dtype=np.intp)
-    wx[0] = wx[-1] = 2
-    in_bounds = wy[:, None] * wx[None, :]
-    pick = ((in_bounds - 1) // 2)[None, :, :]
-    return np.take_along_axis(stack, pick, axis=0)[0].astype(np.uint8)
+    ny, nx = np.full(h, 3), np.full(w, 3)  # in-bounds rows and columns per window
+    ny[[0, -1]] = nx[[0, -1]] = 2
+    pick = (ny[:, None] * nx - 1) // 2
+    return np.take_along_axis(stack, pick[None], axis=0)[0].astype(np.uint8)
 
 
 def prefilter(frame: Frame, kind: str = PREFILTERS[0]) -> Frame:

@@ -351,6 +351,15 @@ def saved_model_path(tmp_path):
     return path
 
 
+def test_load_rejects_sidecar_without_a_grid(tmp_path):
+    path = saved_model_path(tmp_path)
+    sidecar = tmp_path / "model.pgm.cells"
+    header = [ln for ln in sidecar.read_text().splitlines() if ln.startswith("#")]
+    sidecar.write_text("\n".join(ln for ln in header if not ln.startswith("# grid")) + "\n")
+    with pytest.raises(PnmError, match="lacks a grid declaration"):
+        load_model(path)
+
+
 def test_load_rejects_sidecar_with_missing_cell(tmp_path):
     path = saved_model_path(tmp_path)
     sidecar = tmp_path / "model.pgm.cells"

@@ -303,6 +303,13 @@ def test_bench_on_a_clean_scene_is_perfect_everywhere():
         assert row.metrics.pixel_f1 > 0.95
 
 
+def test_bench_backfills_a_partial_model_and_reports_the_frames_it_compared():
+    # at sigma 10 absdiff settles no cell in the scene's 60 frames
+    rows = {r.method: r for r in bench_methods(reference_scene(10.0))}
+    absdiff = rows[Method.ABSDIFF]
+    assert absdiff.coverage == 0.0 and absdiff.frames_to_cover == 60
+
+
 def test_bench_results_are_reproducible_across_runs_and_jobs():
     spec = reference_scene(0.0)
     assert bench_methods(spec) == bench_methods(spec)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: outputs, exit codes, precedence."""
 
 import re
+import weakref
 from collections import deque
 
 import numpy as np
@@ -312,6 +313,55 @@ def test_detect_rebuilds_score_each_frame_pair_once(tmp_path, capsys, monkeypatc
     assert sum(rebuilt) <= 8 * 8 * (len(frames) - 1)
 
 
+def test_detect_rebuilds_reuse_the_inline_builds_scores(tmp_path, capsys, monkeypatch):
+    # max_frames 150 keeps every frame, so no window slides: each rebuild
+    # covers pairs the inline build scored, up to where every cell settled.
+    spec = SceneSpec(64, 48, 12, movers=(Mover(0, 8, 16, 10, 230, 5, 0),), noise_sigma=4.0, seed=3)
+    d = tmp_path / "frames"
+    d.mkdir()
+    write_frames(d, [f.pixels for f in gen_scene(spec).frames])
+    tally = count_scored_cells(monkeypatch)
+    inline, rebuilt = [], []  # cells scored by the inline build, by each rebuild
+
+    def counting_update(*args, **kwargs):
+        if not inline:
+            inline.append(tally[0])
+        before = tally[0]
+        model = update_srbi(*args, **kwargs)
+        rebuilt.append(tally[0] - before)
+        return model
+
+    monkeypatch.setattr(blockbg.cli, "update_srbi", counting_update)
+    code, _, stderr = run(
+        capsys, "detect", "--input", str(d), "--model-frames", "12", "--max-frames", "150",
+        "--rebuild-every", "2", "--method", "dct", "--grid", "8", "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 0 and "backfilled" not in stderr  # the inline build settled every cell
+    assert inline[0] > 0 and len(rebuilt) == 5
+    assert rebuilt == [0] * 5
+
+
+def test_detect_releases_frames_it_no_longer_needs(tmp_path, capsys, monkeypatch):
+    d, frames = sliding_scene(tmp_path)
+    refs = []  # a weak reference to each frame as it is loaded
+    dead_at_last = []
+    original = blockbg.imaging.load_frame
+
+    def loading(path):
+        frame = original(path)
+        refs.append(weakref.ref(frame))
+        if len(refs) == len(frames):
+            dead_at_last.append(refs[0]() is None)
+        return frame
+
+    monkeypatch.setattr(blockbg.imaging, "load_frame", loading)
+    code, _, _ = run(
+        capsys, "detect", "--input", str(d), "--model-frames", "3", "--rebuild-every", "0",
+        "--grid", "8", "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 0 and dead_at_last == [True]
+
+
 def test_a_second_build_with_the_same_scores_scores_nothing(monkeypatch):
     spec = SceneSpec(64, 48, 10, movers=(Mover(0, 8, 16, 10, 230, 5, 0),), noise_sigma=4.0, seed=3)
     frames = gen_scene(spec).frames
@@ -565,6 +615,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         (bench + ["--iou", "7"], "got 7.0"),
         (bench + ["--iou", "0"], "got 0.0"),
         (base + ["--threshold", "nan"], "got nan"),
+        (base + ["--grid", "12x"], "expected auto, 8, 16 or 32, got '12x'"),
+        (base + ["--grid-thresholds", "0.1"], "expected LOW,HIGH, got '0.1'"),
+        (base + ["--grid-thresholds", "0.3,0.1"], "grid thresholds must satisfy 0 < low < high"),
+        (base + ["--config", str(tmp_path / "missing.cfg")], "cannot read config file"),
     ):
         code, _, stderr = run(capsys, *argv)
         assert code == 2 and named in stderr, argv

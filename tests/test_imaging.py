@@ -128,10 +128,12 @@ def test_ppm_luma_matches_formula(tmp_path):
 def test_header_comments_are_tolerated(tmp_path):
     px = texture(4, 16, 16)
     path = tmp_path / "c.pgm"
-    path.write_bytes(
-        b"P5\n# width and height\n16 # inline\n16\n# maxval next\n255\n" + px.tobytes()
-    )
-    assert np.array_equal(load_frame(path).pixels, px)
+    for header in (
+        b"P5\n# width and height\n16 # inline\n16\n# maxval next\n255\n",
+        b"P5 16#c\n16\n255\n",  # a comment also ends the field before it
+    ):
+        path.write_bytes(header + px.tobytes())
+        assert np.array_equal(load_frame(path).pixels, px)
 
 
 def test_rejects_wrong_magic(tmp_path):
@@ -146,6 +148,24 @@ def test_rejects_nondecimal_header(tmp_path):
     path.write_bytes(b"P5\nsixteen 16\n255\n" + b"\x00" * 256)
     with pytest.raises(PnmError, match="header"):
         load_frame(path)
+
+
+def test_rejects_maxval_followed_by_a_comment(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5\n16 16\n255# c\n" + b"\x00" * 256)
+    with pytest.raises(PnmError, match="missing whitespace before payload"):
+        load_frame(path)
+
+
+def test_rejects_header_field_too_long_for_int_and_names_the_file(tmp_path):
+    # 4400 digits: past the interpreter's default limit on int() of a string
+    path = tmp_path / "000000.pgm"
+    path.write_bytes(b"P5 16 16 " + b"0" * 4397 + b"255\n" + b"\x00" * 256)
+    with pytest.raises(PnmError, match="header field of 4400 digits is too long"):
+        load_frame(path)
+    write_frames(tmp_path, [texture(4, 16, 16)], start=1)
+    with pytest.raises(PnmError, match="000000.pgm: malformed header"):
+        list(load_sequence(tmp_path))
 
 
 def test_rejects_unsupported_maxval(tmp_path):

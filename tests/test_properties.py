@@ -178,11 +178,13 @@ def mutated(text: bytes, draw, pieces) -> bytes:
     return text
 
 
-# Header tokens a mutation may splice in: other magics, sizes around the
-# 16-pixel minimum and past the payload, maxvals, comments and whitespace.
+# Header tokens a mutation may splice in: other magics, a run of zeros
+# longer than int() reads by default, sizes around the 16-pixel minimum and
+# past the payload, maxvals, comments and whitespace. (At this place in the
+# tuple, the fixed draws splice the zeros into a field.)
 HEADER_PIECES = st.sampled_from(
-    (b"P5", b"P6", b"P2", b"15", b"16", b"17", b"0", b"-1", b"65535", b"256", b"254",
-     b"99999999999999999999", b"#", b"# c\n", b"\n", b" ", b"\t")
+    (b"P5", b"P6", b"0" * 4400, b"P2", b"15", b"16", b"17", b"0", b"-1", b"65535", b"256",
+     b"254", b"99999999999999999999", b"#", b"# c\n", b"\n", b" ", b"\t")
 )
 
 
