@@ -255,6 +255,4 @@ def load_model(path) -> BackgroundModel:
     missing = [cell for cell in np.ndindex(g, g) if cell not in cells]
     if missing:
         raise PnmError(f"model sidecar missing cell {missing[0]}")
-    px = frame.pixels.copy()
-    px.setflags(write=False)
-    return BackgroundModel(grid=grid, pixels=px, cell_status=status, built_from=built or (0, 0))
+    return BackgroundModel(grid=grid, pixels=frame.pixels, cell_status=status, built_from=built or (0, 0))

@@ -407,39 +407,30 @@ REPORT_COLUMNS = (
 )
 
 
+def _report_values(row: BenchRow) -> tuple:
+    """The report's values for one row, in REPORT_COLUMNS order."""
+    m = row.metrics
+    return (
+        row.method.value, m.pixel_precision, m.pixel_recall, m.pixel_f1,
+        m.mean_iou, m.det_accuracy, row.coverage, row.frames_to_cover,
+    )
+
+
 def write_report_csv(rows: list[BenchRow], path) -> None:
     """Fixed-precision CSV so identical runs produce identical bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
-            m = row.metrics
-            writer.writerow(
-                [
-                    row.method.value,
-                    f"{m.pixel_precision:.6f}",
-                    f"{m.pixel_recall:.6f}",
-                    f"{m.pixel_f1:.6f}",
-                    f"{m.mean_iou:.6f}",
-                    f"{m.det_accuracy:.6f}",
-                    f"{row.coverage:.6f}",
-                    row.frames_to_cover,
-                ]
-            )
+            method, *scores, frames_to_cover = _report_values(row)
+            writer.writerow([method, *(f"{v:.6f}" for v in scores), frames_to_cover])
 
 
 def format_report(rows: list[BenchRow]) -> str:
     """Human-readable table for stdout."""
     header = f"{'method':<8} {'px_prec':>8} {'px_rec':>8} {'px_f1':>8} {'mIoU':>8} {'det_acc':>8} {'cover':>6} {'f2c':>4}"
-    lines = [header]
-    for row in rows:
-        m = row.metrics
-        lines.append(
-            f"{row.method.value:<8} {m.pixel_precision:>8.4f} {m.pixel_recall:>8.4f} "
-            f"{m.pixel_f1:>8.4f} {m.mean_iou:>8.4f} {m.det_accuracy:>8.4f} "
-            f"{row.coverage:>6.3f} {row.frames_to_cover:>4d}"
-        )
-    return "\n".join(lines)
+    row_format = "{:<8} {:>8.4f} {:>8.4f} {:>8.4f} {:>8.4f} {:>8.4f} {:>6.3f} {:>4d}"
+    return "\n".join([header, *(row_format.format(*_report_values(row)) for row in rows)])
 
 
 def parse_scene_file(path) -> SceneSpec:

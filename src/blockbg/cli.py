@@ -5,9 +5,10 @@ bench (four-method synthetic comparison), entropy (per-frame entropy,
 grid suggestion). Exit codes: 0 success, 1 runtime failure, 2 usage or
 configuration error. Each line of a ``--config`` file acts as the
 subcommand's own flag placed before the command line's flags, so flags win
-and a file value passes the same checks as a flag. The effective
-configuration is echoed to a text file next to the primary output so a run
-can be reproduced exactly.
+and a file value passes the same checks as a flag; ``None`` leaves an
+option without a default unset. The effective configuration is echoed to a
+text file next to the primary output, which passed back as ``--config``
+reproduces the run exactly.
 """
 
 from __future__ import annotations
@@ -224,8 +225,8 @@ def _config_flags(path: str, command: str, commands: dict[str, argparse.Argument
         if not any(dest in own for own in options.values()):
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
         action = options[command].get(dest)
-        if action is None:
-            continue
+        if action is None or (value == "None" and action.default is None):
+            continue  # another subcommand's key, or an echoed unset option
         flag = action.option_strings[0]
         if action.nargs != 0:
             flags.append(f"{flag}={value}")

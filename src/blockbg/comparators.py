@@ -100,29 +100,24 @@ def dct2(block) -> np.ndarray:
 def zigzag_indices(height: int, width: int) -> tuple[tuple[int, int], ...]:
     """Zigzag scan order generalized to rectangles.
 
-    Anti-diagonals (row + col constant) are visited in increasing order with
-    alternating direction, exactly the 8x8 JPEG order when height == width,
-    skipping out-of-bounds cells otherwise.
+    Cells are sorted by anti-diagonal (row + col), and within one by row,
+    falling on even diagonals and rising on odd ones: exactly the 8x8 JPEG
+    order when height == width.
     """
     if height < 1 or width < 1:
         raise ValueError("zigzag needs positive dimensions")
-    order = []
-    for d in range(height + width - 1):
-        rows = range(max(0, d - width + 1), min(d, height - 1) + 1)
-        if d % 2 == 0:
-            rows = reversed(rows)
-        order.extend((r, d - r) for r in rows)
-    return tuple(order)
+    r, c = np.indices((height, width)).reshape(2, -1)
+    d = r + c
+    order = np.lexsort((np.where(d % 2, r, -r), d))
+    return tuple(zip(r[order].tolist(), c[order].tolist()))
 
 
-def zigzag_take(coeffs: np.ndarray, keep: int) -> np.ndarray:
-    """First ``keep`` coefficients in zigzag order (clamped to block area)
-    of the block held in the last two axes."""
-    coeffs = np.asarray(coeffs)
-    order = zigzag_indices(coeffs.shape[-2], coeffs.shape[-1])
-    keep = min(keep, len(order))
-    rows, cols = np.array(order[:keep], dtype=np.intp).reshape(-1, 2).T
-    return coeffs[..., rows, cols]
+@lru_cache(maxsize=None)
+def _kept_cells(height: int, width: int, keep: int) -> np.ndarray:
+    """Rows and columns of the block's first ``keep`` zigzag cells, read-only (2, k)."""
+    cells = np.array(zigzag_indices(height, width)[:keep], dtype=np.intp).T
+    cells.setflags(write=False)
+    return cells
 
 
 def score_blocks(a, b, cfg: ComparatorConfig) -> np.ndarray:
@@ -146,12 +141,11 @@ def score_blocks(a, b, cfg: ComparatorConfig) -> np.ndarray:
         return np.count_nonzero(changed, axis=(1, 2)) / area
     # The DCT is linear, so the coefficient differences are the DCT of the
     # block difference, and only the basis rows and columns that the kept
-    # coefficients occupy are applied. The first ``keep`` zigzag cells of
-    # the block are also the first ``keep`` of that rows x cols corner.
-    rows, cols = np.max(zigzag_indices(height, width)[: cfg.dct_keep], axis=0) + 1
+    # coefficients occupy are applied.
+    rows, cols = _kept_cells(height, width, cfg.dct_keep)
     diff = np.subtract(a, b, dtype=np.float64)
-    coeffs = _dct_matrix(height)[:rows] @ diff @ _dct_matrix(width)[:cols].T
-    return np.abs(zigzag_take(coeffs, cfg.dct_keep)).mean(axis=-1)
+    coeffs = _dct_matrix(height)[: rows.max() + 1] @ diff @ _dct_matrix(width)[: cols.max() + 1].T
+    return np.abs(coeffs[:, rows, cols]).mean(axis=-1)
 
 
 def score(a, b, cfg: ComparatorConfig) -> float:

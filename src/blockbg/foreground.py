@@ -21,6 +21,15 @@ DEFAULT_WINDOW = 3
 DEFAULT_MIN_AREA_FRAC = 0.001
 
 
+def _check_bits(bits: np.ndarray) -> None:
+    """Raise ValueError unless every value of the non-empty ``bits`` is 0 or 1."""
+    # For integers the extremes decide; other dtypes may hold a 0.5 between.
+    values = (bits.min(), bits.max()) if bits.dtype.kind in "biu" else np.unique(bits)
+    for v in values:
+        if v != 0 and v != 1:
+            raise ValueError(f"mask bits must be 0 or 1, got {v}")
+
+
 @dataclass(frozen=True, eq=False)
 class ForegroundMask:
     """Binary change map over the model's cropped extent (uint8 0/1)."""
@@ -31,12 +40,9 @@ class ForegroundMask:
         arr = np.asarray(self.bits)
         if arr.ndim != 2:
             raise ValueError("mask bits must be a 2-D array")
-        if arr.dtype != np.uint8:
-            arr = arr.astype(np.uint8)
-        else:
-            arr = arr.copy()
-        if arr.size and arr.max() > 1:
-            raise ValueError("mask bits must be 0 or 1")
+        if arr.size:
+            _check_bits(arr)
+        arr = arr.astype(np.uint8)  # always a copy
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
@@ -95,11 +101,7 @@ def median_filter_mask(bits: np.ndarray, window: int = DEFAULT_WINDOW) -> np.nda
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.size == 0:
         raise ValueError("mask bits must be a non-empty 2-D array")
-    # For integers the extremes decide; other dtypes may hold a 0.5 between.
-    values = (bits.min(), bits.max()) if bits.dtype.kind in "biu" else np.unique(bits)
-    for v in values:
-        if v != 0 and v != 1:
-            raise ValueError(f"mask bits must be 0 or 1, got {v}")
+    _check_bits(bits)
     r = window // 2
     dtype = np.min_scalar_type(window * window)  # holds any window's count
     ones = _window_sum(_window_sum(bits.astype(dtype, copy=False), r, 0), r, 1)

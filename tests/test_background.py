@@ -405,6 +405,12 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
     sidecar.write_text(sidecar.read_text().replace("# grid 4", "# grid 17"))
     with pytest.raises(PnmError, match="not a multiple of the grid"):
         load_model(path)
+    # A grid far wider than the image is read line by line all the same:
+    # a repeated cell still names its line before the grid is rejected.
+    text = sidecar.read_text().replace("# grid 17", "# grid 99999999999")
+    sidecar.write_text(text.replace("0 1 settled", "0 0 settled"))
+    with pytest.raises(PnmError, match=r"line 5: cell \(0, 0\) listed twice"):
+        load_model(path)
 
 
 @pytest.mark.parametrize(

@@ -492,6 +492,31 @@ def test_cli_flags_beat_config_file(tmp_path, capsys):
     assert not {"input", "out", "config", "jobs"} & set(echo)
 
 
+def test_echoed_config_reproduces_the_run(tmp_path, capsys):
+    # The echo writes None for an unset option; passed back as --config it
+    # must leave that option unset and repeat the run byte for byte. The
+    # model source stays on the command line, as a config file cannot add it.
+    frames = mover_dir(tmp_path)
+    scene = bench_scene_path(tmp_path)
+    model = tmp_path / "model" / "first" / "m.pgm"
+    cases = {  # name: (the run's locations, its knobs, its echo)
+        "model": (lambda o: ["model", "--input", str(frames), "--out", str(o / "m.pgm")], ["--max-frames", "8"], "m.pgm.config.txt"),
+        "inline": (lambda o: ["detect", "--input", str(frames), "--out-dir", str(o), "--model-frames", "6"], ["--rebuild-every", "5"], "config.txt"),
+        "saved": (lambda o: ["detect", "--input", str(frames), "--out-dir", str(o), "--model", str(model)], ["--window", "5"], "config.txt"),
+        "bench": (lambda o: ["bench", "--scene", str(scene), "--out", str(o / "r.csv")], ["--grid", "8"], "r.csv.config.txt"),
+    }
+    for name, (where, knobs, echo) in cases.items():
+        first, again = tmp_path / name / "first", tmp_path / name / "again"
+        first.mkdir(parents=True)
+        again.mkdir(parents=True)
+        code, stdout, _ = run(capsys, *where(first), *knobs)
+        assert code == 0, name
+        assert "=None" in (first / echo).read_text()
+        assert run(capsys, *where(again), "--config", str(first / echo))[:2] == (0, stdout), name
+        outputs = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (first, again)]
+        assert outputs[0] == outputs[1], name
+
+
 def test_config_file_validation(tmp_path, capsys):
     frames = static_dir(tmp_path)
     out = tmp_path / "model.pgm"

@@ -14,7 +14,6 @@ from blockbg.comparators import (
     score,
     score_blocks,
     zigzag_indices,
-    zigzag_take,
 )
 from blockbg.blocks import block_view, make_grid
 from blockbg.errors import ShapeMismatch
@@ -214,13 +213,12 @@ def test_dct_rejects_non_2d():
 
 
 def test_zigzag_2x2_order():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert list(zigzag_take(m, 4)) == [1.0, 2.0, 3.0, 4.0]
+    assert zigzag_indices(2, 2) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_zigzag_first_entry_is_dc():
-    m = np.arange(12, dtype=np.float64).reshape(3, 4)
-    assert list(zigzag_take(m, 1)) == [0.0]
+    for h, w in ((3, 4), (4, 3), (1, 1), (1, 5), (5, 1)):
+        assert zigzag_indices(h, w)[0] == (0, 0)
 
 
 def test_zigzag_4x4_first_six_cells():
@@ -246,9 +244,11 @@ def test_zigzag_full_scan_is_a_bijection():
         assert len(set(order)) == h * w
 
 
-def test_zigzag_take_clamps_to_block_area():
-    m = np.ones((2, 2))
-    assert len(zigzag_take(m, 10)) == 4
+def test_dct_keep_past_block_area_scores_every_coefficient():
+    a = texture(790, 2, 3, lo=0, hi=256)
+    b = texture(791, 2, 3, lo=0, hi=256)
+    want = float(np.mean(np.abs(naive_dct2(a) - naive_dct2(b))))
+    assert abs(score(a, b, ComparatorConfig(Method.DCT, 0.0, dct_keep=10)) - want) < 1e-9
 
 
 # --- dct score ---

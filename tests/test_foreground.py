@@ -267,6 +267,12 @@ def test_mask_validates_and_freezes_bits():
         ForegroundMask(np.full((4, 4), 2, dtype=np.uint8))
     with pytest.raises(ValueError):
         ForegroundMask(np.zeros(16, dtype=np.uint8))
+    # Checked before the cast, which would turn each of these into a 0 or a 1.
+    for bad in (0.5, np.int32(256), np.nan, 1.7, -1):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ForegroundMask(np.full((2, 2), bad))
+    assert ForegroundMask(np.zeros((0, 3))).bits.shape == (0, 3)  # empty masks stay legal
+    assert ForegroundMask(np.eye(2, dtype=bool)) == ForegroundMask(np.eye(2))
     src = np.zeros((4, 4), dtype=np.uint8)
     mask = ForegroundMask(src)
     src[0, 0] = 1  # the mask holds its own copy

@@ -180,12 +180,29 @@ def mutated(text: bytes, draw, pieces) -> bytes:
 
 # Header tokens a mutation may splice in: other magics, a run of zeros
 # longer than int() reads by default, sizes around the 16-pixel minimum and
-# past the payload, maxvals, comments and whitespace. (At this place in the
-# tuple, the fixed draws splice the zeros into a field.)
-HEADER_PIECES = st.sampled_from(
-    (b"P5", b"P6", b"0" * 4400, b"P2", b"15", b"16", b"17", b"0", b"-1", b"65535", b"256",
-     b"254", b"99999999999999999999", b"#", b"# c\n", b"\n", b" ", b"\t")
+# past the payload, maxvals, comments and whitespace. Which pieces the fixed
+# draws reach depends on their order, so each is also tried in every field
+# directly, below.
+HEADER_PIECE_BYTES = (
+    b"P5", b"P6", b"0" * 4400, b"P2", b"15", b"16", b"17", b"0", b"-1", b"65535", b"256",
+    b"254", b"99999999999999999999", b"#", b"# c\n", b"\n", b" ", b"\t",
 )
+HEADER_PIECES = st.sampled_from(HEADER_PIECE_BYTES)
+
+
+def test_each_header_piece_in_each_field_loads_or_raises_pnm_errors(tmp_path):
+    path = tmp_path / "frame.pgm"
+    payload = texture(0, 16, 17).tobytes()  # 16 x 17 pixels
+    for piece in HEADER_PIECE_BYTES:
+        for i in range(3):
+            fields = [b"16", b"17", b"255"]  # width, height, maxval
+            fields[i] = piece
+            path.write_bytes(b"P5\n" + b" ".join(fields) + b"\n" + payload)
+            try:
+                frame = load_frame(path)
+            except (PnmError, FrameTooSmall):
+                continue
+            assert frame.width >= 16 and frame.height >= 16, (piece, i)
 
 
 @FIXED
