@@ -56,7 +56,6 @@ from .foreground import (
 from .imaging import Frame, load_frame, load_sequence, prefilter, save_frame
 from .pipeline import PipelineParams, detect_frame, resolve_grid, run_detection
 from .validation import (
-    ClassifierVerdict,
     HeuristicParams,
     classify_all,
     validate,

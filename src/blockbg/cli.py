@@ -297,10 +297,12 @@ def _build(
     params: PipelineParams,
     cfg: ComparatorConfig,
     max_frames: int,
+    fill: bool = True,
     scores: deque | None = None,
 ) -> BackgroundModel:
     """Build a model from the head of ``frames``; every frame the build
-    pulls is appended to ``pulled``."""
+    pulls is appended to ``pulled``. With ``fill``, cells that never
+    settled are backfilled from the last frame pulled, with a note."""
     head = list(islice(frames, 2))
     grid = resolve_grid(head, params)
 
@@ -309,7 +311,12 @@ def _build(
             pulled.append(frame)
             yield frame
 
-    return build_srbi(pulling(), grid, cfg, max_frames=max_frames, scores=scores)
+    model = build_srbi(pulling(), grid, cfg, max_frames=max_frames, scores=scores)
+    if fill and coverage(model) < 1.0:
+        n = int((model.cell_status == CELL_UNSETTLED).sum())
+        model = backfill(model, pulled[-1])
+        print(f"backfilled {n} unsettled cell(s) from frame {model.built_from[1] - 1}", file=sys.stderr)
+    return model
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
@@ -317,12 +324,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
     params = _pipeline_params(args)
     out = Path(args.out)
 
-    last = deque(maxlen=1)  # the last frame the build pulled
-    model = _build(_frames(args), last, params, cfg, args.max_frames)
-    if not args.no_backfill and coverage(model) < 1.0:
-        n = int((model.cell_status == CELL_UNSETTLED).sum())
-        model = backfill(model, last[0])
-        print(f"backfilled {n} unsettled cell(s) from frame {model.built_from[1] - 1}", file=sys.stderr)
+    model = _build(_frames(args), deque(maxlen=1), params, cfg, args.max_frames, not args.no_backfill)
     save_model(model, out)
     _echo_config(args, out.with_name(out.name + ".config.txt"))
     final_cov = coverage(model)
@@ -343,11 +345,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.model is not None:
         model = load_model(args.model)  # frames smaller than it fail in subtract
     else:
-        model = _build(islice(frames, args.model_frames), pulled, params, cfg, max_frames, scores)
-        if coverage(model) < 1.0:
-            k = int((model.cell_status == CELL_UNSETTLED).sum())
-            model = backfill(model, pulled[-1])
-            print(f"backfilled {k} unsettled cell(s)", file=sys.stderr)
+        model = _build(islice(frames, args.model_frames), pulled, params, cfg, max_frames, scores=scores)
     # The loop takes the pulled frames over. Through iter() the list is freed
     # once the loop has passed it; chain would hold it until frames ran out.
     frames, pulled = chain(iter(pulled), frames), None
@@ -419,13 +417,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser()
     try:
+        if argv and argv[0] in commands:
+            pre = argparse.ArgumentParser(prog=commands[argv[0]].prog, usage=argparse.SUPPRESS, add_help=False)
+            _add_common(pre)
+            config = pre.parse_known_args(argv[1:])[0].config
+            if config:
+                # The file's lines go right after the subcommand name, so the
+                # command line's flags come later and win.
+                argv[1:1] = _config_flags(config, argv[0], commands)
         args = parser.parse_args(argv)
-        if args.config:
-            # The file's lines go right after the subcommand name, so the
-            # command line's flags come later and win.
-            at = argv.index(args.command) + 1
-            flags = _config_flags(args.config, args.command, commands)
-            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)

@@ -115,7 +115,8 @@ def zigzag_indices(height: int, width: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def _kept_cells(height: int, width: int, keep: int) -> np.ndarray:
     """Rows and columns of the block's first ``keep`` zigzag cells, read-only (2, k)."""
-    cells = np.array(zigzag_indices(height, width)[:keep], dtype=np.intp).T
+    # The first keep cells lie on anti-diagonals below keep, so the keep x keep corner holds them.
+    cells = np.array(zigzag_indices(min(height, keep), min(width, keep))[:keep], dtype=np.intp).T
     cells.setflags(write=False)
     return cells
 

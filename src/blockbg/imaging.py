@@ -52,9 +52,7 @@ class Frame:
                 raise ValueError("frame pixels must be integers")
             if arr.size and (arr.min() < 0 or arr.max() > 255):
                 raise ValueError("frame intensities must lie in [0, 255]")
-            arr = arr.astype(np.uint8)
-        else:
-            arr = arr.copy()
+        arr = arr.astype(np.uint8)  # always a copy, so the caller's array can change
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 

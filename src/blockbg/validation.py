@@ -34,12 +34,6 @@ class HeuristicParams:
             raise ValueError("need 0 < area_min_frac <= area_max_frac <= 1")
 
 
-@dataclass(frozen=True)
-class ClassifierVerdict:
-    label: str
-    score: float
-
-
 _RAMP = 0.1  # relative width of the edge ramp
 
 
@@ -52,10 +46,10 @@ def _edge_ramp(x: float, lo: float, hi: float | None) -> float:
     return max(0.0, min(1.0, s))
 
 
-def validate(obj: DetectedObject, params: HeuristicParams, frame_area: int) -> ClassifierVerdict:
-    """Geometric heuristic verdict for one object."""
+def validate(obj: DetectedObject, params: HeuristicParams, frame_area: int) -> DetectedObject:
+    """A copy of ``obj`` labeled by the geometric heuristic, with its score."""
     if obj.w <= 0 or obj.h <= 0 or frame_area <= 0:
-        return ClassifierVerdict(NON_VEHICLE, 0.0)
+        return replace(obj, label=NON_VEHICLE, score=0.0)
     aspect = obj.w / obj.h
     fill = obj.area / (obj.w * obj.h)
     frac = obj.area / frame_area
@@ -69,7 +63,7 @@ def validate(obj: DetectedObject, params: HeuristicParams, frame_area: int) -> C
         * _edge_ramp(fill, params.fill_min, None)
         * _edge_ramp(frac, params.area_min_frac, params.area_max_frac)
     )
-    return ClassifierVerdict(VEHICLE if ok else NON_VEHICLE, score)
+    return replace(obj, label=VEHICLE if ok else NON_VEHICLE, score=score)
 
 
 def classify_all(
@@ -80,8 +74,4 @@ def classify_all(
     """Label every object, preserving order. Objects are returned as
     labeled copies; inputs are never mutated."""
     p = params if params is not None else HeuristicParams()
-    out = []
-    for obj in objects:
-        verdict = validate(obj, p, frame_area)
-        out.append(replace(obj, label=verdict.label, score=verdict.score))
-    return out
+    return [validate(o, p, frame_area) for o in objects]

@@ -1,8 +1,12 @@
 """Small shared builders for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from blockbg.imaging import Frame, save_frame
+
+# Hypothesis settings for every property: a fixed, bounded set of examples.
+FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
 
 def frame_of(arr) -> Frame:

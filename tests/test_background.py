@@ -1,11 +1,17 @@
 """SRBI construction: settling, budgets, backfill, update, persistence."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import blockbg.background
 from blockbg.background import (
     CELL_BACKFILLED,
     CELL_UNSETTLED,
+    DEFAULT_MAX_FRAMES,
     backfill,
     build_srbi,
     coverage,
@@ -18,7 +24,7 @@ from blockbg.blocks import block_view, make_grid
 from blockbg.comparators import ComparatorConfig, Method, default_config, score
 from blockbg.errors import InconsistentSequence, PnmError, SequenceTooShort
 
-from helpers import frame_of, texture
+from helpers import FIXED, frame_of, texture
 
 ABSDIFF = default_config(Method.ABSDIFF)
 
@@ -160,11 +166,13 @@ def test_offscreen_entry_recovered_by_every_method():
         assert (model.cell_status == 1).all()
 
 
-def settle_cell_by_cell(frames, grid, cfg):
-    """Reference build: visit every unsettled cell of every frame pair."""
+def settle_cell_by_cell(frames, grid, cfg, max_frames=DEFAULT_MAX_FRAMES):
+    """Reference build: visit every unsettled cell of every frame pair
+    among the first ``max_frames`` frames."""
     g, bh, bw = grid.g, grid.block_height, grid.block_width
     status = np.full((g, g), CELL_UNSETTLED)
     pixels = np.zeros((grid.cropped_height, grid.cropped_width), dtype=np.uint8)
+    frames = frames[:max_frames]
     consumed = 2
     for t in range(len(frames) - 1):
         pending = [(r, c) for r in range(g) for c in range(g) if status[r, c] == CELL_UNSETTLED]
@@ -191,6 +199,51 @@ def test_build_matches_a_cell_by_cell_settle_loop():
         assert np.array_equal(model.pixels, pixels), method
         assert np.array_equal(model.cell_status, status), method
         assert model.built_from == built_from, method
+
+
+small_scenes = st.builds(
+    SceneSpec,
+    width=st.integers(16, 64),
+    height=st.integers(16, 64),
+    frame_count=st.integers(2, 12),
+    movers=st.lists(
+        st.builds(
+            Mover,
+            x=st.integers(-16, 64),
+            y=st.integers(-16, 64),
+            w=st.integers(1, 24),
+            h=st.integers(1, 24),
+            intensity=st.integers(0, 255),
+            dx=st.integers(-9, 9),
+            dy=st.integers(-9, 9),
+        ),
+        max_size=3,
+    ).map(tuple),
+    noise_sigma=st.floats(0, 15),
+    seed=st.integers(0, 2**16),
+)
+
+
+@FIXED
+@given(small_scenes, st.sampled_from((1, 2, 4, 8)), st.integers(2, 12), st.booleans())
+def test_build_and_a_rebuild_from_its_scores_match_the_cell_by_cell_reference(spec, g, max_frames, tie):
+    frames = gen_scene(spec).frames
+    grid = make_grid(spec.width, spec.height, g)
+    first, second = block_view(frames[0], grid), block_view(frames[1], grid)
+    for method in Method:
+        cfg = default_config(method)
+        if tie:  # a threshold that some cell of the first pair scores exactly
+            pair = sorted(score(first[r, c], second[r, c], cfg) for r, c in np.ndindex(g, g))
+            cfg = ComparatorConfig(method, pair[len(pair) // 2])
+        want = settle_cell_by_cell(frames, grid, cfg, max_frames)
+        scores = []
+        model = build_srbi(frames, grid, cfg, max_frames, scores=scores)
+        with mock.patch.object(blockbg.background, "score_blocks", side_effect=AssertionError("rescored")):
+            again = build_srbi(frames, grid, cfg, max_frames, scores=scores)
+        for got in (model, again):
+            assert np.array_equal(got.pixels, want[0]), method
+            assert np.array_equal(got.cell_status, want[1]), method
+            assert got.built_from == want[2], method
 
 
 def test_pair_scoring_exactly_the_threshold_leaves_its_cell_unsettled():

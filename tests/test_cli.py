@@ -10,7 +10,7 @@ import pytest
 import blockbg.background
 import blockbg.cli
 import blockbg.imaging
-from blockbg.background import backfill, build_srbi, coverage, load_model, update_srbi
+from blockbg.background import CELL_UNSETTLED, backfill, build_srbi, coverage, load_model, update_srbi
 from blockbg.bench import Mover, SceneSpec, gen_scene, write_scene_file
 from blockbg.blocks import make_grid
 from blockbg.cli import main
@@ -141,7 +141,7 @@ def test_model_backfills_unsettled_cells_by_default(tmp_path, capsys):
     )
     assert code == 0
     assert "coverage 1.000000" in stdout
-    assert "backfilled" in stderr
+    assert stderr == "backfilled 4 unsettled cell(s) from frame 5\n"
 
 
 def test_model_fails_below_min_coverage_without_backfill(tmp_path, capsys):
@@ -235,17 +235,21 @@ def sliding_scene(tmp_path):
 
 def oracle_detect(frames, method, model_frames, max_frames, rebuild_every):
     """detect's loop, with each rebuild scoring its window from scratch.
-    Returns the mask images, the objects.csv rows and the adoption count."""
+    Returns the mask images, the objects.csv rows, the adoption count and
+    the backfill note."""
     cfg = default_config(method)
     params = PipelineParams(grid=8)
     grid = make_grid(frames[0].width, frames[0].height, 8)
     model = build_srbi(frames[:model_frames], grid, cfg, max_frames)
+    note = ""
     if coverage(model) < 1.0:
-        model = backfill(model, frames[model.built_from[1] - 1])
+        last = model.built_from[1] - 1
+        note = f"backfilled {int((model.cell_status == CELL_UNSETTLED).sum())} unsettled cell(s) from frame {last}\n"
+        model = backfill(model, frames[last])
     recent = deque(maxlen=max_frames)
     masks, rows, adopted = [], [], 0
     for i, frame in enumerate(frames):
-        if len(recent) >= 2 and i % rebuild_every == 0:
+        if rebuild_every and len(recent) >= 2 and i % rebuild_every == 0:
             rebuilt = update_srbi(model, recent, cfg, max_frames)
             adopted += rebuilt is not model
             model = rebuilt
@@ -256,24 +260,25 @@ def oracle_detect(frames, method, model_frames, max_frames, rebuild_every):
             for oi, o in enumerate(objects)
         ]
         recent.append(frame)
-    return masks, rows, adopted
+    return masks, rows, adopted, note
 
 
-@pytest.mark.parametrize("rebuild_every", (1, 2))
+@pytest.mark.parametrize("rebuild_every", (0, 1, 2, 3))
 @pytest.mark.parametrize("method", [m.value for m in Method])
 def test_detect_sliding_rebuilds_match_rebuilding_from_scratch(tmp_path, capsys, method, rebuild_every):
     # With --max-frames 4 the window drops its oldest frame from frame 4 on,
     # so every later rebuild must forget the scores of the pair it lost.
     d, frames = sliding_scene(tmp_path)
     out_dir = tmp_path / "out"
-    code, _, _ = run(
+    code, _, stderr = run(
         capsys, "detect", "--input", str(d), "--model-frames", "3", "--max-frames", "4",
         "--rebuild-every", str(rebuild_every), "--method", method, "--grid", "8",
         "--out-dir", str(out_dir),
     )
     assert code == 0
-    masks, rows, adopted = oracle_detect(frames, method, 3, 4, rebuild_every)
-    assert adopted > 0  # the rebuilt models are in use
+    masks, rows, adopted, note = oracle_detect(frames, method, 3, 4, rebuild_every)
+    assert adopted > 0 or not rebuild_every  # the rebuilt models are in use
+    assert stderr == note and (note or method == "xor")  # only xor settles every cell
     assert (out_dir / "objects.csv").read_text().splitlines()[1:] == rows
     for i, want in enumerate(masks):
         assert np.array_equal(load_frame(out_dir / f"mask_{i:06d}.pgm").pixels, want), i
@@ -494,14 +499,15 @@ def test_cli_flags_beat_config_file(tmp_path, capsys):
 
 def test_echoed_config_reproduces_the_run(tmp_path, capsys):
     # The echo writes None for an unset option; passed back as --config it
-    # must leave that option unset and repeat the run byte for byte. The
-    # model source stays on the command line, as a config file cannot add it.
+    # must leave that option unset and repeat the run byte for byte. The echo
+    # leaves paths out, so a saved model's path stays on the command line,
+    # while an inline model's --model-frames comes back from the echo.
     frames = mover_dir(tmp_path)
     scene = bench_scene_path(tmp_path)
     model = tmp_path / "model" / "first" / "m.pgm"
     cases = {  # name: (the run's locations, its knobs, its echo)
         "model": (lambda o: ["model", "--input", str(frames), "--out", str(o / "m.pgm")], ["--max-frames", "8"], "m.pgm.config.txt"),
-        "inline": (lambda o: ["detect", "--input", str(frames), "--out-dir", str(o), "--model-frames", "6"], ["--rebuild-every", "5"], "config.txt"),
+        "inline": (lambda o: ["detect", "--input", str(frames), "--out-dir", str(o)], ["--model-frames", "6", "--rebuild-every", "5"], "config.txt"),
         "saved": (lambda o: ["detect", "--input", str(frames), "--out-dir", str(o), "--model", str(model)], ["--window", "5"], "config.txt"),
         "bench": (lambda o: ["bench", "--scene", str(scene), "--out", str(o / "r.csv")], ["--grid", "8"], "r.csv.config.txt"),
     }
@@ -515,6 +521,35 @@ def test_echoed_config_reproduces_the_run(tmp_path, capsys):
         assert run(capsys, *where(again), "--config", str(first / echo))[:2] == (0, stdout), name
         outputs = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (first, again)]
         assert outputs[0] == outputs[1], name
+
+
+def test_config_file_sets_every_option_including_required_ones(tmp_path, capsys):
+    # Each golden command with all its flags moved into a config file writes
+    # the same bytes as with the flags on the command line.
+    frames = mover_dir(tmp_path)
+    scene = bench_scene_path(tmp_path)
+    model = tmp_path / "model.pgm"
+    assert run(capsys, "model", "--input", str(frames), "--out", str(model), "--grid", "8")[0] == 0
+    cases = {  # name: the run, writing under the given directory
+        "model": lambda o: ["model", "--input", frames, "--out", o / "m.pgm", "--max-frames", "8"],
+        "saved": lambda o: ["detect", "--input", frames, "--model", model, "--out-dir", o],
+        "inline": lambda o: ["detect", "--input", frames, "--model-frames", "6", "--rebuild-every", "5", "--out-dir", o],
+        "bench": lambda o: ["bench", "--scene", scene, "--out", o / "r.csv"],
+    }
+    for name, argv in cases.items():
+        flags, filed = tmp_path / name / "flags", tmp_path / name / "filed"
+        flags.mkdir(parents=True)
+        filed.mkdir()
+        code, stdout, _ = run(capsys, *map(str, argv(flags)))
+        assert code == 0, name
+        command, *options = map(str, argv(filed))
+        cfg = tmp_path / name / "run.cfg"
+        cfg.write_text("".join(f"{k[2:]}={v}\n" for k, v in zip(options[::2], options[1::2])))
+        assert run(capsys, command, "--config", str(cfg))[:2] == (0, stdout), name
+        outputs = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (flags, filed)]
+        assert outputs[0] == outputs[1], name
+    code, _, stderr = run(capsys, "model", "--config")
+    assert code == 2 and "argument --config: expected one argument" in stderr
 
 
 def test_config_file_validation(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from blockbg.comparators import (
     ComparatorConfig,
+    _kept_cells,
     Method,
     dct2,
     default_config,
@@ -242,6 +243,21 @@ def test_zigzag_full_scan_is_a_bijection():
         order = zigzag_indices(h, w)
         assert len(order) == h * w
         assert len(set(order)) == h * w
+
+
+def test_zigzag_prefix_lies_in_the_keep_by_keep_corner():
+    # The DCT score sorts only this corner; from keep = max(h, w) on it is the whole block.
+    for h in range(1, 41):
+        for w in range(1, 41):
+            order = zigzag_indices(h, w)
+            for keep in range(1, max(h, w)):
+                assert zigzag_indices(min(h, keep), min(w, keep))[:keep] == order[:keep], (h, w, keep)
+
+
+def test_kept_cells_are_the_blocks_first_zigzag_cells():
+    for h, w, keep in ((90, 160, 10), (22, 40, 10), (3, 1, 2), (2, 3, 10), (8, 8, 64), (1, 1, 1)):
+        want = np.array(zigzag_indices(h, w)[:keep]).T
+        assert np.array_equal(_kept_cells(h, w, keep), want), (h, w, keep)
 
 
 def test_dct_keep_past_block_area_scores_every_coefficient():

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from blockbg.background import CELL_BACKFILLED, CELL_UNSETTLED, BackgroundModel, load_model, save_model
@@ -21,9 +21,7 @@ from blockbg.cli import _comparator_config, _config_flags, _pipeline_params, bui
 from blockbg.errors import ConfigError, FrameTooSmall, PnmError, SceneSpecError
 from blockbg.imaging import PREFILTERS, Frame, load_frame, save_frame
 
-from helpers import texture, write_frames
-
-FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+from helpers import FIXED, texture, write_frames
 
 # Values of detect's options as text, each valid on its own and together.
 floats = st.floats(min_value=0, max_value=40, allow_nan=False).map(repr)

@@ -1,5 +1,7 @@
 """Geometric object validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from blockbg.foreground import DetectedObject, ForegroundMask, connected_compone
 from blockbg.validation import (
     NON_VEHICLE,
     VEHICLE,
-    ClassifierVerdict,
     HeuristicParams,
     classify_all,
     validate,
@@ -25,7 +26,7 @@ def solid(w, h, area=None):
     )
 
 
-def verdict_of(obj, params=PARAMS, frame_area=FRAME_AREA):
+def validated(obj, params=PARAMS, frame_area=FRAME_AREA):
     return validate(obj, params, frame_area)
 
 
@@ -34,61 +35,69 @@ def verdict_of(obj, params=PARAMS, frame_area=FRAME_AREA):
 
 def test_typical_proportions_pass():
     # 40x25 box, 80% filled: aspect 1.6, fill 0.8, frame fraction 0.005
-    v = verdict_of(solid(40, 25, area=800), frame_area=160_000)
+    v = validated(solid(40, 25, area=800), frame_area=160_000)
     assert v.label == VEHICLE
     assert v.score == 1.0
 
 
 def test_tiny_blob_rejected_by_area_fraction():
-    v = verdict_of(solid(4, 4))  # 16 px of 160000 is below the 0.001 floor
+    v = validated(solid(4, 4))  # 16 px of 160000 is below the 0.001 floor
     assert v.label == NON_VEHICLE
     assert v.score == 0.0
 
 
 def test_extreme_aspect_rejected():
-    v = verdict_of(solid(40, 4))  # aspect 10
+    v = validated(solid(40, 4))  # aspect 10
     assert v.label == NON_VEHICLE
     assert v.score == 0.0
 
 
 def test_sparse_fill_rejected():
-    v = verdict_of(solid(20, 20, area=80))  # fill 0.2
+    v = validated(solid(20, 20, area=80))  # fill 0.2
     assert v.label == NON_VEHICLE
     assert v.score == 0.0
 
 
 def test_degenerate_bbox_is_non_vehicle():
-    assert verdict_of(solid(0, 10, area=0)) == ClassifierVerdict(NON_VEHICLE, 0.0)
-    assert verdict_of(solid(10, 0, area=0)) == ClassifierVerdict(NON_VEHICLE, 0.0)
-    assert verdict_of(solid(10, 10), frame_area=0) == ClassifierVerdict(
-        NON_VEHICLE, 0.0
-    )
+    for obj, frame_area in (
+        (solid(0, 10, area=0), FRAME_AREA),
+        (solid(10, 0, area=0), FRAME_AREA),
+        (solid(10, 10), 0),
+    ):
+        assert validated(obj, frame_area=frame_area) == replace(obj, label=NON_VEHICLE, score=0.0)
+
+
+def test_validate_returns_a_labeled_copy():
+    obj = solid(40, 25, area=800)
+    v = validated(obj, frame_area=160_000)
+    assert v == replace(obj, label=VEHICLE, score=1.0)
+    assert obj.label is None and obj.score == 0.0  # the input is not mutated
 
 
 # --- edge ramps ---
 
 
 def test_band_edges_are_inclusive_but_score_zero():
-    v = verdict_of(solid(10, 20))  # aspect exactly 0.5
+    v = validated(solid(10, 20))  # aspect exactly 0.5
     assert v.label == VEHICLE
     assert v.score == 0.0
 
 
 def test_score_saturates_ten_percent_inside_the_band():
-    v = verdict_of(solid(36, 10))  # aspect 3.6 = 0.9 * aspect_max
+    v = validated(solid(36, 10))  # aspect 3.6 = 0.9 * aspect_max
     assert v.label == VEHICLE
     assert v.score == pytest.approx(1.0)
 
 
 def test_score_ramps_linearly_near_the_edge():
-    v = verdict_of(solid(38, 10))  # aspect 3.8, halfway down the exit ramp
+    v = validated(solid(38, 10))  # aspect 3.8, halfway down the exit ramp
     assert v.label == VEHICLE
     assert v.score == pytest.approx(0.5)
 
 
 def test_score_rises_with_fill():
     scores = [
-        verdict_of(solid(20, 20, area=a)).score for a in (160, 164, 168, 172, 176, 200)
+        validated(solid(20, 20, area=a)).score for a in (160, 164, 168, 172, 176, 200)
     ]
     assert all(b >= a for a, b in zip(scores, scores[1:]))
     assert scores[0] == 0.0  # area fraction sits exactly on the floor
