@@ -3,10 +3,11 @@
 The model is assembled block by block: counterpart blocks of adjacent
 frames are compared, and when a cell is judged static its pixels are
 committed verbatim from the later frame of the pair. Each pair scores the
-still unsettled cells, one grid row per call, and each cell settles at
-most once; building stops when every cell has settled or the frame budget
-runs out. A caller may keep each pair's scores across builds over the
-same frames, so a rebuild scores only the cells no earlier build did.
+still unsettled cells in raster order, in chunks of about SCORE_BUDGET_PX
+pixels per call, and each cell settles at most once; building stops when
+every cell has settled or the frame budget runs out. A caller may keep
+each pair's scores across builds over the same frames, so a rebuild
+scores only the cells no earlier build did.
 
 Cell status bookkeeping: a cell is either unsettled, settled at a frame
 index (the later frame of the agreeing pair), or backfilled from a
@@ -30,6 +31,10 @@ CELL_UNSETTLED = -1
 CELL_BACKFILLED = -2
 
 DEFAULT_MAX_FRAMES = 150
+
+# Pixels per score_blocks call: enough cells to amortize the call, few
+# enough to bound its temporaries (about one g = 8 row of a 720p frame).
+SCORE_BUDGET_PX = 1 << 16
 
 _SIDECAR_SUFFIX = ".cells"
 
@@ -82,6 +87,7 @@ def build_srbi(
     status = np.full((g, g), CELL_UNSETTLED, dtype=np.int32)
     pixels = np.zeros((grid.cropped_height, grid.cropped_width), dtype=np.uint8)
     model_blocks = block_view(pixels, grid)
+    per_call = max(1, SCORE_BUDGET_PX // (grid.block_height * grid.block_width))
     stream = iter(frames)
     first = prev = next(stream, None)
     consumed = 0 if first is None else 1
@@ -104,11 +110,11 @@ def build_srbi(
         if len(scores) < consumed:
             scores.append(np.full((g, g), np.nan))
         pair_scores = scores[consumed - 1]
-        unscored = pending & np.isnan(pair_scores)
-        # One grid row of unscored blocks per call bounds the temporaries.
-        for row in np.flatnonzero(unscored.any(axis=1)):
-            cols = np.flatnonzero(unscored[row])
-            pair_scores[row, cols] = score_blocks(blocks_a[row, cols], blocks_b[row, cols], cfg)
+        # Chunks of unscored cells in raster order; a chunk may span grid rows.
+        rows, cols = np.nonzero(pending & np.isnan(pair_scores))
+        for i in range(0, len(rows), per_call):
+            r, c = rows[i : i + per_call], cols[i : i + per_call]
+            pair_scores[r, c] = score_blocks(blocks_a[r, c], blocks_b[r, c], cfg)
         static = pending & (pair_scores < cfg.threshold)
         model_blocks[static] = blocks_b[static]
         status[static] = consumed

@@ -123,30 +123,32 @@ def _kept_cells(height: int, width: int, keep: int) -> np.ndarray:
 
 def score_blocks(a, b, cfg: ComparatorConfig) -> np.ndarray:
     """Scores of n counterpart block pairs stacked as (n, height, width)
-    arrays, as float64 of shape (n,)."""
+    uint8 pixel arrays, as float64 of shape (n,)."""
     n, height, width = a.shape
     area = height * width
+    a, b = a.astype(np.uint8, copy=False), b.astype(np.uint8, copy=False)
     if cfg.method is Method.ABSDIFF:
-        diff = np.subtract(a, b, dtype=np.int16, casting="unsafe")
+        # A block sums to at most 255 * area, which fits uint32 up to 16,843,009 pixels.
+        total = np.uint32 if area <= 16_843_009 else np.uint64
         # An integer sum over the pixel count equals the float64 mean exactly.
-        return np.abs(diff, out=diff).sum(axis=(1, 2)) / area
+        return (np.maximum(a, b) - np.minimum(a, b)).sum(axis=(1, 2), dtype=total) / area
     if cfg.method is Method.ENTROPY:
         # One tally for both stacks: block i's gray level v lands in bin i*256+v.
-        blocks = np.concatenate((a, b)).astype(np.uint8, copy=False).reshape(2 * n, area)
-        bins = blocks + 256 * np.arange(2 * n)[:, None]
+        bins = np.concatenate((a, b)).reshape(2 * n, area) + 256 * np.arange(2 * n)[:, None]
         h = entropy_bits(np.bincount(bins.ravel(), minlength=512 * n).reshape(2 * n, 256))
         return np.abs(h[:n] - h[n:])
     if cfg.method is Method.XOR:
-        a, b = a.astype(np.uint8, copy=False), b.astype(np.uint8, copy=False)
         changed = (a >> cfg.xor_shift) ^ (b >> cfg.xor_shift)
         return np.count_nonzero(changed, axis=(1, 2)) / area
     # The DCT is linear, so the coefficient differences are the DCT of the
     # block difference, and only the basis rows and columns that the kept
-    # coefficients occupy are applied.
+    # coefficients occupy are applied. The int16 difference is exact.
     rows, cols = _kept_cells(height, width, cfg.dct_keep)
-    diff = np.subtract(a, b, dtype=np.float64)
+    diff = np.subtract(a, b, dtype=np.int16).astype(np.float64)
     coeffs = _dct_matrix(height)[: rows.max() + 1] @ diff @ _dct_matrix(width)[: cols.max() + 1].T
-    return np.abs(coeffs[:, rows, cols]).mean(axis=-1)
+    # A running sum adds the kept cells left to right for any n, so a block
+    # scores the same alone or in a chunk (mean sums one block pairwise).
+    return np.add.accumulate(np.abs(coeffs[:, rows, cols]), axis=-1)[:, -1] / len(rows)
 
 
 def score(a, b, cfg: ComparatorConfig) -> float:

@@ -224,12 +224,32 @@ small_scenes = st.builds(
 )
 
 
+def assert_scores_are_the_cells_own(scores, frames, grid, cfg):
+    """Every score a build wrote is its own cell's ``score``."""
+    for k, pair in enumerate(scores):
+        first, second = block_view(frames[k], grid), block_view(frames[k + 1], grid)
+        for r, c in zip(*np.nonzero(~np.isnan(pair))):
+            assert pair[r, c] == score(first[r, c], second[r, c], cfg), (k, r, c)
+
+
+# Budgets as (k, d) for k * block area + d pixels: one cell per call, one
+# either side of a block's area, and 2 or 7 cells, so chunks end mid-row.
+BUDGETS = ((0, 1), (1, -1), (1, 0), (1, 1), (3, -1), (7, 1))
+
+
 @FIXED
-@given(small_scenes, st.sampled_from((1, 2, 4, 8)), st.integers(2, 12), st.booleans())
-def test_build_and_a_rebuild_from_its_scores_match_the_cell_by_cell_reference(spec, g, max_frames, tie):
+@given(
+    small_scenes, st.sampled_from((1, 2, 4, 8)), st.integers(2, 12), st.booleans(),
+    st.sampled_from(BUDGETS), st.integers(0, 10),
+)
+def test_build_and_a_rebuild_from_its_scores_match_the_cell_by_cell_reference(
+    spec, g, max_frames, tie, budget, shift
+):
     frames = gen_scene(spec).frames
     grid = make_grid(spec.width, spec.height, g)
     first, second = block_view(frames[0], grid), block_view(frames[1], grid)
+    budget_px = budget[0] * grid.block_height * grid.block_width + budget[1]
+    shift = min(shift, len(frames) - 2)
     for method in Method:
         cfg = default_config(method)
         if tie:  # a threshold that some cell of the first pair scores exactly
@@ -237,13 +257,56 @@ def test_build_and_a_rebuild_from_its_scores_match_the_cell_by_cell_reference(sp
             cfg = ComparatorConfig(method, pair[len(pair) // 2])
         want = settle_cell_by_cell(frames, grid, cfg, max_frames)
         scores = []
-        model = build_srbi(frames, grid, cfg, max_frames, scores=scores)
-        with mock.patch.object(blockbg.background, "score_blocks", side_effect=AssertionError("rescored")):
-            again = build_srbi(frames, grid, cfg, max_frames, scores=scores)
+        with mock.patch.object(blockbg.background, "SCORE_BUDGET_PX", budget_px):
+            model = build_srbi(frames, grid, cfg, max_frames, scores=scores)
+            with mock.patch.object(blockbg.background, "score_blocks", side_effect=AssertionError("rescored")):
+                again = build_srbi(frames, grid, cfg, max_frames, scores=scores)
+            # A rebuild over a later window shares the pair grids it overlaps.
+            window = scores[shift:]
+            rebuilt = update_srbi(model, frames[shift:], cfg, max_frames, scores=window)
         for got in (model, again):
             assert np.array_equal(got.pixels, want[0]), method
             assert np.array_equal(got.cell_status, want[1]), method
             assert got.built_from == want[2], method
+        fresh = settle_cell_by_cell(frames[shift:], grid, cfg, max_frames)
+        if np.mean(fresh[1] != CELL_UNSETTLED) >= coverage(model):
+            assert np.array_equal(rebuilt.pixels, fresh[0]), method
+            assert np.array_equal(rebuilt.cell_status, fresh[1]), method
+            assert rebuilt.built_from == fresh[2], method
+        else:
+            assert rebuilt is model, method
+        assert_scores_are_the_cells_own(scores, frames, grid, cfg)
+        assert_scores_are_the_cells_own(window, frames[shift:], grid, cfg)
+
+
+def test_a_build_scores_each_pairs_pending_cells_once_in_budget_sized_calls(monkeypatch):
+    spec = SceneSpec(320, 240, 12, movers=(Mover(10, 20, 40, 30, 230, 9, 2), Mover(300, 150, 30, 20, 25, -7, 0)),
+                     noise_sigma=5.0, seed=4)
+    grid = make_grid(320, 240, 32)
+    per_call = blockbg.background.SCORE_BUDGET_PX // (grid.block_height * grid.block_width)
+    per_pair = []  # the sizes of each pair's score_blocks calls
+    original = blockbg.background.score_blocks
+
+    def counting(a, b, cfg):
+        per_pair[-1].append(len(a))
+        return original(a, b, cfg)
+
+    def pulled(frames):
+        for i, frame in enumerate(frames):
+            if i:  # frame i completes pair i - 1
+                per_pair.append([])
+            yield frame
+
+    monkeypatch.setattr(blockbg.background, "score_blocks", counting)
+    scores = []
+    model = build_srbi(pulled(gen_scene(spec).frames), grid, default_config(Method.DCT), scores=scores)
+    assert len(per_pair) == len(scores) == model.built_from[1] - 1 > 2
+    for k, sizes in enumerate(per_pair):
+        # Pair k settles its cells at index k + 1; the cells still pending there were scored.
+        pending = (model.cell_status == CELL_UNSETTLED) | (model.cell_status > k)
+        assert np.array_equal(~np.isnan(scores[k]), pending), k
+        assert sum(sizes) == pending.sum(), k
+        assert len(sizes) <= -(-pending.sum() // per_call), (k, sizes)
 
 
 def test_pair_scoring_exactly_the_threshold_leaves_its_cell_unsettled():

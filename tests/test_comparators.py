@@ -8,6 +8,7 @@ import pytest
 
 from blockbg.comparators import (
     ComparatorConfig,
+    _dct_matrix,
     _kept_cells,
     Method,
     dct2,
@@ -428,3 +429,71 @@ def test_stacked_scores_match_per_block_oracles(cfg):
                 assert value == want, (seed, row, col)
             else:
                 assert abs(value - want) <= 1e-12, (seed, row, col, value - want)
+
+
+# --- the integer kernels against the float formulas they replaced ---
+
+
+def _absdiff_formula(a, b):
+    diff = np.subtract(a, b, dtype=np.int16, casting="unsafe")
+    return np.abs(diff).sum(axis=(1, 2)) / (a.shape[1] * a.shape[2])
+
+
+def _dct_formula(a, b, keep):
+    """The float64 difference through the two truncated basis products; the
+    kept coefficients are then summed left to right, as score_blocks sums
+    them for a stack of any size."""
+    _, h, w = a.shape
+    rows, cols = np.array(zigzag_oracle(h, w)[:keep]).T
+    diff = np.subtract(a, b, dtype=np.float64)
+    coeffs = _dct_matrix(h)[: rows.max() + 1] @ diff @ _dct_matrix(w)[: cols.max() + 1].T
+    kept = np.abs(coeffs[:, rows, cols])
+    total = kept[:, 0]
+    for j in range(1, kept.shape[1]):
+        total = total + kept[:, j]
+    return total / kept.shape[1]
+
+
+def _random_stacks(seed, count):
+    """(a, b, keep) stacks: identical, +-6 noise, only 0 and 255, unrelated;
+    h, w and n in 1-40, keep from 1 to h * w + 5, some as int64."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, h, w = (int(x) for x in rng.integers(1, 41, 3))
+        a = rng.integers(0, 256, (n, h, w)).astype(np.uint8)
+        kind = i % 4
+        if kind == 0:
+            b = a.copy()
+        elif kind == 1:
+            b = np.clip(a + rng.integers(-6, 7, a.shape), 0, 255).astype(np.uint8)
+        elif kind == 2:
+            a, b = (rng.integers(0, 2, (2, n, h, w)) * 255).astype(np.uint8)
+        else:
+            b = rng.integers(0, 256, a.shape).astype(np.uint8)
+        if i % 5 == 4:
+            a, b = a.astype(np.int64), b.astype(np.int64)
+        yield a, b, int(rng.integers(1, h * w + 6))
+
+
+def test_absdiff_kernel_equals_the_int16_formula_bit_for_bit():
+    for a, b, _ in _random_stacks(7100, 400):
+        assert score_blocks(a, b, ABSDIFF).tobytes() == _absdiff_formula(a, b).tobytes(), a.shape
+
+
+def test_dct_kernel_equals_the_float64_formula_bit_for_bit():
+    for a, b, keep in _random_stacks(7200, 400):
+        got = score_blocks(a, b, ComparatorConfig(Method.DCT, 0.0, dct_keep=keep))
+        assert got.tobytes() == _dct_formula(a, b, keep).tobytes(), (a.shape, keep)
+
+
+def test_dct_scores_do_not_depend_on_the_stack_they_are_in():
+    for a, b, keep in _random_stacks(7300, 60):
+        cfg = ComparatorConfig(Method.DCT, 0.0, dct_keep=keep)
+        alone = np.concatenate([score_blocks(a[i : i + 1], b[i : i + 1], cfg) for i in range(len(a))])
+        assert score_blocks(a, b, cfg).tobytes() == alone.tobytes(), (a.shape, keep)
+
+
+def test_absdiff_of_a_block_past_the_uint32_range_is_exact():
+    # 255 * 4096 * 4200 > 2**32, so a uint32 block sum would wrap.
+    a = np.full((1, 4096, 4200), 255, dtype=np.uint8)
+    assert score_blocks(a, np.zeros_like(a), ABSDIFF).tolist() == [255.0]
