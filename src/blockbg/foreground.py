@@ -63,8 +63,10 @@ class ForegroundMask:
 def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT_SHIFT) -> np.ndarray:
     """Raw per-pixel change map over the cropped extent.
 
-    change[p] = 1 iff (model[p] XOR frame[p]) >> shift != 0: the buckets differ.
-    The model must be fully covered (settled or backfilled everywhere).
+    change[p] = 1 iff (model[p] XOR frame[p]) > 2**shift - 1, that is, iff
+    the two differ in a bit at or above ``shift``: their buckets differ.
+    Returns a fresh uint8 0/1 array. The model must be fully covered
+    (settled or backfilled everywhere).
     """
     if not 0 <= shift <= 7:
         raise ValueError(f"subtract shift must be in [0, 7], got {shift}")
@@ -77,8 +79,9 @@ def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT
         raise ShapeMismatch(
             f"frame {frame.width}x{frame.height} smaller than model extent {cw}x{ch}"
         )
-    window = frame.pixels[:ch, :cw]
-    return (((model.pixels ^ window) >> shift) != 0).astype(np.uint8)
+    change = model.pixels ^ frame.pixels[:ch, :cw]
+    np.greater(change, (1 << shift) - 1, out=change.view(bool))  # in place, 0/1 bytes
+    return change
 
 
 def _window_sum(a: np.ndarray, r: int, axis: int) -> np.ndarray:
@@ -105,8 +108,12 @@ def median_filter_mask(bits: np.ndarray, window: int = DEFAULT_WINDOW) -> np.nda
     r = window // 2
     dtype = np.min_scalar_type(window * window)  # holds any window's count
     ones = _window_sum(_window_sum(bits.astype(dtype, copy=False), r, 0), r, 1)
+    keep = ones > window * window // 2  # right for every window off the r-wide border bands
     ny, nx = (_window_sum(np.ones(k, dtype), r, 0) for k in bits.shape)  # in-bounds extents
-    return (ones > (ny[:, None] * nx) // 2).astype(np.uint8)
+    for band in (np.s_[:r], np.s_[-r:]):  # redo the bands against their clipped windows
+        keep[band] = ones[band] > (ny[band, None] * nx) // 2
+        keep[:, band] = ones[:, band] > (ny[:, None] * nx[band]) // 2
+    return keep.view(np.uint8)
 
 
 def make_mask(
@@ -154,12 +161,13 @@ def connected_components(mask: ForegroundMask, min_area: float = 0.0) -> list[De
     h, w = mask.bits.shape
     # Horizontal runs in raster order as row-major keys y*stride + x over
     # rows with a zero pad column: run i covers keys [start[i], end[i]).
+    # Behind one leading zero, the keys where the value flips alternate
+    # between a run's start and its end.
     stride = w + 1
-    padded = np.zeros((h, stride), dtype=np.int8)
-    padded[:, :w] = mask.bits
-    edges = np.diff(padded.ravel(), prepend=np.int8(0))
-    start = np.flatnonzero(edges == 1)
-    end = np.flatnonzero(edges == -1)
+    flat = np.zeros(h * stride + 1, dtype=bool)
+    flat[1:].reshape(h, stride)[:, :w] = mask.bits
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    start, end = edges[0::2], edges[1::2]
     n = len(start)
     if n == 0:
         return []

@@ -52,7 +52,7 @@ class Frame:
                 raise ValueError("frame pixels must be integers")
             if arr.size and (arr.min() < 0 or arr.max() > 255):
                 raise ValueError("frame intensities must lie in [0, 255]")
-        arr = arr.astype(np.uint8)  # always a copy, so the caller's array can change
+        arr = arr.astype(np.uint8, order="C")  # always a row-major copy, so the caller's array can change
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -131,8 +131,9 @@ def load_frame(path) -> Frame:
 
 def save_frame(frame: Frame, path) -> None:
     """Write a Frame as binary PGM (P5), maxval 255."""
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + frame.pixels.tobytes())
+    with open(path, "wb") as fh:  # header and pixel buffer as they are, no joined copy
+        fh.write(f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii"))
+        fh.write(frame.pixels)
 
 
 def _pattern_regex(pattern: str) -> re.Pattern:

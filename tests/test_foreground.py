@@ -122,6 +122,17 @@ def test_subtract_matches_per_pixel_oracle():
             got = subtract(model, frame_of(b), shift)
             want = ((a >> shift) != (b >> shift)).astype(np.uint8)
             assert np.array_equal(got, want), (seed, shift)
+    # Every (model, frame) intensity pair at every shift.
+    a = np.repeat(np.arange(256, dtype=np.uint8), 256).reshape(256, 256)
+    b = a.T
+    model, frame = model_of(a), frame_of(b)
+    for shift in range(8):
+        got = subtract(model, frame, shift)
+        want = ((a >> shift) != (b >> shift)).astype(np.uint8)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), shift
+        assert not np.shares_memory(got, model.pixels)
+        assert not np.shares_memory(got, frame.pixels)
+        assert np.array_equal(model.pixels, a) and np.array_equal(frame.pixels, b)
 
 
 def test_subtract_requires_full_coverage():
@@ -409,9 +420,18 @@ LABELLER_CASES = (
 )
 
 
+def row_ends():
+    bits = np.zeros((6, 7), dtype=np.uint8)
+    bits[:, [0, -1]] = 1  # each row's last pixel is next to the next row's first in raster order
+    return bits
+
+
 def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(45)
     random_masks = [(rng.random((64, 64)) < 0.35).astype(np.uint8) for _ in range(20)]
+    for shape in ((1, 64), (64, 1), (7, 64), (64, 7)):  # only non-square masks tell h from w
+        random_masks += [(rng.random(shape) < p).astype(np.uint8) for p in (0.35, 0.7)]
+    random_masks += [np.ones((5, 9), dtype=np.uint8), row_ends()]
     for case, bits in enumerate(random_masks + list(LABELLER_CASES)):
         objs = connected_components(ForegroundMask(bits))
         # flood_components discovers in raster order; the sort is stable

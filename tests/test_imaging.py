@@ -79,10 +79,14 @@ def test_pgm_round_trip_is_identity(tmp_path):
         rng = np.random.default_rng(seed)
         h = int(rng.integers(16, 40))
         w = int(rng.integers(16, 40))
-        f = frame_of(rng.integers(0, 256, size=(h, w)))
-        path = tmp_path / f"rt{seed}.pgm"
-        save_frame(f, path)
-        assert load_frame(path) == f
+        px = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+        # row-major, column-major and strided inputs write the same row-major file
+        for src in (px, np.asfortranarray(px), np.repeat(px, 2, axis=1)[:, ::2]):
+            f = Frame(src)
+            path = tmp_path / f"rt{seed}.pgm"
+            save_frame(f, path)
+            assert path.read_bytes() == f"P5\n{w} {h}\n255\n".encode() + px.tobytes()
+            assert load_frame(path) == f
 
 
 def test_pgm_payload_is_verbatim(tmp_path):
