@@ -172,6 +172,7 @@ def update_srbi(
 
 _STATUS_NAMES = {CELL_UNSETTLED: "unsettled", CELL_BACKFILLED: "backfilled"}
 _STATUS_CODES = {name: code for code, name in _STATUS_NAMES.items()}
+_SETTLE_MAX = int(np.iinfo(np.int32).max)  # the largest settle index cell_status holds
 
 
 def save_model(model: BackgroundModel, path) -> None:
@@ -247,7 +248,7 @@ def load_model(path) -> BackgroundModel:
         code = settle if name == "settled" else _STATUS_CODES.get(name)
         if code is None:
             raise PnmError(f"{where}: unknown cell status {name!r}")
-        if not (0 <= settle <= np.iinfo(np.int32).max if name == "settled" else settle == -1):
+        if not (0 <= settle <= _SETTLE_MAX if name == "settled" else settle == -1):
             raise PnmError(f"{where}: status {name} with settle index {settle}")
         cells[cell] = code
     if g is None:

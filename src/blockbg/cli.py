@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import os
 import sys
 from collections import deque
 from collections.abc import Iterator
@@ -154,8 +156,10 @@ def _add_detect_knobs(p: argparse.ArgumentParser) -> dict[str, object]:
     return {a.dest: a.default for a in added}
 
 
+@functools.cache  # built once per process: in-process callers parse many times
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The blockbg parser and its subcommands' parsers by name."""
+    """The blockbg parser and its subcommands' parsers by name, shared by
+    every caller in the process: parse with them, do not change them."""
     parser = argparse.ArgumentParser(
         prog="blockbg",
         description="Block-based background modeling and moving-object detection.",
@@ -413,7 +417,31 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Ask glibc's malloc, once per process, to keep freed memory for reuse.
+
+    By default glibc hands the top of the heap back to the kernel after each
+    720p frame, and the next frame faults the same pages in again. The mmap
+    threshold goes first, to its 64-bit maximum: a trim threshold set alone
+    also switches off glibc's dynamic mmap threshold, and every buffer of
+    128 KiB or more would then be mapped and unmapped on each use.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        import ctypes  # only the CLI's own process uses it
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ImportError, OSError, ValueError):  # not glibc, or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD; 0 past the platform's maximum
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()  # the CLI owns its process; importing blockbg leaves malloc alone
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser()
     try:

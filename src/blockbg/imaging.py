@@ -114,12 +114,11 @@ def load_frame(path) -> Frame:
     magic, width, height, pos = _read_header(data)
     channels = 1 if magic == "P5" else 3
     need = width * height * channels
-    payload = data[pos : pos + need]
-    if len(payload) < need:
+    if len(data) - pos < need:
         raise PnmError(
-            f"truncated payload: expected {need} bytes, found {len(payload)}"
+            f"truncated payload: expected {need} bytes, found {len(data) - pos}"
         )
-    raw = np.frombuffer(payload, dtype=np.uint8)
+    raw = np.frombuffer(data, np.uint8, need, offset=pos)  # a view; Frame copies it
     if channels == 1:
         px = raw.reshape(height, width)
     else:

@@ -1,6 +1,9 @@
 """End-to-end command line behavior: outputs, exit codes, precedence."""
 
+import os
 import re
+import subprocess
+import sys
 import weakref
 from collections import deque
 
@@ -497,6 +500,18 @@ def test_cli_flags_beat_config_file(tmp_path, capsys):
     assert not {"input", "out", "config", "jobs"} & set(echo)
 
 
+def test_a_config_file_sets_nothing_for_the_next_call(tmp_path, capsys):
+    # The parser is built once per process; one call's file must not leak.
+    frames = mover_dir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window=5\n")
+    detect = ["detect", "--input", str(frames), "--model-frames", "2", "--grid", "8", "--out-dir"]
+    assert run(capsys, *detect, str(tmp_path / "with"), "--config", str(cfg))[0] == 0
+    assert run(capsys, *detect, str(tmp_path / "without"))[0] == 0
+    assert echo_dict(tmp_path / "with" / "config.txt")["window"] == "5"
+    assert echo_dict(tmp_path / "without" / "config.txt")["window"] == str(DEFAULT_WINDOW) == "3"
+
+
 def test_echoed_config_reproduces_the_run(tmp_path, capsys):
     # The echo writes None for an unset option; passed back as --config it
     # must leave that option unset and repeat the run byte for byte. The echo
@@ -740,3 +755,94 @@ def test_incompatible_model_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "model extent" in stderr
+
+
+# --- the CLI's process ---
+
+
+def glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Runs one detect, then reports the minor page faults of a second, identical one.
+WARM_FAULTS = """
+import resource, sys
+from blockbg.cli import main
+assert main(sys.argv[1:]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not glibc(), reason="the CLI tunes only glibc's malloc")
+def test_a_warm_detect_does_not_refault_frame_memory(tmp_path):
+    # By default glibc returns a 640x480 frame's freed temporaries to the
+    # kernel, and every frame faults them in again: about 900 faults over
+    # the second run. A fresh process is needed, because large frees made
+    # earlier in this one have already raised glibc's thresholds.
+    rng = np.random.default_rng(14)
+    base = texture(14, 480, 640).astype(np.int16)
+    arrays = []
+    for t in range(8):
+        px = base + rng.integers(-4, 5, size=base.shape)
+        px[200:260, 40 + 60 * t : 120 + 60 * t] = 235
+        arrays.append(np.clip(px, 0, 255))
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_frames(frames, arrays)
+    argv = ["detect", "--input", str(frames), "--model-frames", "2", "--grid", "8", "--out-dir", str(tmp_path / "out")]
+    src = os.path.dirname(os.path.dirname(blockbg.cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", WARM_FAULTS, *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    faults = int(done.stdout.split()[-1])
+    assert faults < 640 * 480 // 4096, faults  # fewer than one frame's pages
+
+
+class FakeMallopt:
+    def __init__(self, result: int):
+        self.result, self.calls = result, []
+
+    def __call__(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return self.result
+
+
+@pytest.mark.parametrize("result", (1, 0))
+def test_the_trim_threshold_is_set_only_after_the_mmap_threshold(monkeypatch, result):
+    # The trim threshold alone would switch off glibc's dynamic mmap
+    # threshold, so it is set only once the mmap threshold was accepted.
+    import ctypes
+
+    mallopt = FakeMallopt(result)
+    monkeypatch.setattr(blockbg.cli.os, "confstr", lambda name: "glibc 2.35")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: type("Libc", (), {"mallopt": mallopt})())
+    blockbg.cli._keep_freed_heap.__wrapped__()
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    assert mallopt.calls == [(m_mmap_threshold, 32 << 20), (m_trim_threshold, 256 << 20)][: 1 + result]
+
+
+def test_detect_without_glibc_leaves_malloc_alone_and_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
+    import ctypes
+
+    frames = mover_dir(tmp_path)
+    detect = ["detect", "--input", str(frames), "--model-frames", "2", "--grid", "8", "--out-dir"]
+    assert run(capsys, *detect, str(tmp_path / "glibc"))[0] == 0
+
+    def no_such_name(name):
+        raise ValueError("unrecognized configuration name")
+
+    def no_libc(name):
+        raise AssertionError("ctypes reached without glibc")
+
+    monkeypatch.setattr(blockbg.cli.os, "confstr", no_such_name)
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    monkeypatch.setattr(blockbg.cli, "_keep_freed_heap", blockbg.cli._keep_freed_heap.__wrapped__)
+    assert run(capsys, *detect, str(tmp_path / "other"))[0] == 0
+    outputs = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("glibc", "other")]
+    assert outputs[0] == outputs[1]

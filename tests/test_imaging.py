@@ -180,10 +180,12 @@ def test_rejects_unsupported_maxval(tmp_path):
 
 
 def test_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "x.pgm"
-    path.write_bytes(b"P5\n16 16\n255\n" + b"\x00" * 255)  # one byte short
-    with pytest.raises(PnmError, match="truncated"):
-        load_frame(path)
+    path = tmp_path / "x.pnm"
+    # one byte short, no payload at all, and an RGB payload one byte short
+    for magic, size, found in ((b"P5", 256, 255), (b"P5", 256, 0), (b"P6", 768, 767)):
+        path.write_bytes(magic + b"\n16 16\n255\n" + b"\x00" * found)
+        with pytest.raises(PnmError, match=f"^truncated payload: expected {size} bytes, found {found}$"):
+            load_frame(path)
 
 
 def test_rejects_tiny_images(tmp_path):
