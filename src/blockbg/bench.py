@@ -239,10 +239,11 @@ def evaluate(
 ) -> Metrics:
     """Pixel metrics pooled over all frames plus object-level accuracy.
 
-    Objects are matched per frame by greedy descending-IoU one-to-one
-    assignment; a match only counts as a true positive at IoU >=
-    ``iou_threshold``. Detection accuracy is TP / (TP + FP + FN). Frames
-    with no predictions and no truth contribute nothing.
+    Pixels count over the extent both masks cover. Objects are matched per
+    frame greedily, best IoU first, one to one, among the pairs with IoU > 0
+    and >= ``iou_threshold``; each match is a true positive. Detection
+    accuracy is TP / (TP + FP + FN). Frames with no predictions and no
+    truth contribute nothing.
     """
     if not (len(pred_masks) == len(pred_objects) == len(truth_masks) == len(truth_boxes)):
         raise ValueError("evaluate needs equally long per-frame lists")
@@ -253,11 +254,11 @@ def evaluate(
     for mask, objs, truth, boxes in zip(
         pred_masks, pred_objects, truth_masks, truth_boxes
     ):
-        pb = mask.bits[: truth.height, : truth.width]
-        tb = truth.bits[: mask.height, : mask.width]
+        h, w = min(mask.height, truth.height), min(mask.width, truth.width)
+        pb, tb = mask.bits[:h, :w], truth.bits[:h, :w]
         inter = int(np.count_nonzero(pb & tb))
-        p_total = int(np.count_nonzero(mask.bits))
-        t_total = int(np.count_nonzero(truth.bits))
+        p_total = int(np.count_nonzero(pb))
+        t_total = int(np.count_nonzero(tb))
         px_tp += inter
         px_fp += p_total - inter
         px_fn += t_total - inter
@@ -270,19 +271,15 @@ def evaluate(
         for pi, obj in enumerate(objs):
             for ti, box in enumerate(boxes):
                 iou = box_iou(obj.bbox, box)
-                if iou > 0:
+                if iou > 0 and iou >= iou_threshold:
                     pairs.append((-iou, pi, ti))
         pairs.sort()
-        used_p: set[int] = set()
-        used_t: set[int] = set()
-        matched = 0
-        for neg_iou, pi, ti in pairs:
-            if pi in used_p or ti in used_t:
-                continue
-            used_p.add(pi)
-            used_t.add(ti)
-            if -neg_iou >= iou_threshold:
-                matched += 1
+        used_p, used_t = set(), set()
+        for _, pi, ti in pairs:
+            if pi not in used_p and ti not in used_t:
+                used_p.add(pi)
+                used_t.add(ti)
+        matched = len(used_p)
         tp += matched
         fp += len(objs) - matched
         fn += len(boxes) - matched
@@ -357,16 +354,12 @@ def bench_methods(
     max_frames: int = DEFAULT_MAX_FRAMES,
     jobs: int = 1,
 ) -> list[BenchRow]:
-    """Run the full pipeline once per comparator over one scene."""
+    """Run the full pipeline once per comparator over one scene, on ``jobs`` pool threads."""
     configs = [default_config(m) for m in Method]
     if params is None:
         params = PipelineParams()
     scene = gen_scene(spec)
     grid = resolve_grid(scene.frames, params)
-    truth_masks = [
-        ForegroundMask(t.bits[: grid.cropped_height, : grid.cropped_width])
-        for t in scene.truth_masks
-    ]
     boxes = truth_boxes_for(spec, grid.cropped_width, grid.cropped_height, params)
 
     def run_one(cfg: ComparatorConfig) -> BenchRow:
@@ -379,7 +372,7 @@ def bench_methods(
         objects = [
             [o for o in objs if o.label == VEHICLE] for _, objs in results
         ]
-        metrics = evaluate(masks, objects, truth_masks, boxes, iou_threshold)
+        metrics = evaluate(masks, objects, scene.truth_masks, boxes, iou_threshold)
         return BenchRow(
             method=cfg.method,
             metrics=metrics,
@@ -387,12 +380,10 @@ def bench_methods(
             frames_to_cover=model.built_from[1],  # a build stops at the pair settling its last cell
         )
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing blockbg does not load it
 
-        with ThreadPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            return list(pool.map(run_one, configs))
-    return [run_one(cfg) for cfg in configs]
+    with ThreadPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
+        return list(pool.map(run_one, configs))  # rows in method order for any worker count
 
 
 REPORT_COLUMNS = (

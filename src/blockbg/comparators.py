@@ -24,6 +24,7 @@ import numpy as np
 
 from .blocks import entropy_bits
 from .errors import ShapeMismatch
+from .imaging import check_intensities
 
 
 class Method(str, enum.Enum):
@@ -152,11 +153,13 @@ def score_blocks(a, b, cfg: ComparatorConfig) -> np.ndarray:
 
 
 def score(a, b, cfg: ComparatorConfig) -> float:
-    """Score of one block pair under the configured method."""
+    """Score of one block pair; blocks hold integers in [0, 255], as a Frame does."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"block shapes differ: {a.shape} vs {b.shape}")
     if a.ndim != 2 or a.size == 0:
         raise ValueError("blocks must be non-empty 2-D arrays")
+    check_intensities(a, "block")
+    check_intensities(b, "block")
     return float(score_blocks(a[None], b[None], cfg)[0])

@@ -32,6 +32,15 @@ DEFAULT_PATTERN = "%06d.pgm"
 PREFILTERS = ("none", "median3")  # the first is the default
 
 
+def check_intensities(arr: np.ndarray, what: str) -> None:
+    """Raise ValueError, naming ``what``, unless uint8 holds every value of ``arr`` exactly."""
+    if arr.dtype != np.uint8:
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{what} pixels must be integers")
+        if arr.size and (arr.min() < 0 or arr.max() > 255):
+            raise ValueError(f"{what} intensities must lie in [0, 255]")
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """One grayscale frame: a read-only (height, width) uint8 array."""
@@ -47,11 +56,7 @@ class Frame:
             raise FrameTooSmall(
                 f"frame is {w}x{h}; minimum supported dimension is {MIN_DIM}"
             )
-        if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError("frame pixels must be integers")
-            if arr.size and (arr.min() < 0 or arr.max() > 255):
-                raise ValueError("frame intensities must lie in [0, 255]")
+        check_intensities(arr, "frame")
         arr = arr.astype(np.uint8, order="C")  # always a row-major copy, so the caller's array can change
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)

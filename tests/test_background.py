@@ -546,6 +546,12 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
         (20, "# grid 4"),
         (20, "# built_from 0 9"),
         (4, "0 0 settled 1\xff"),
+        (4, "0 0 settled +1"),
+        (4, "+0 0 settled 1"),
+        (4, "0 0 settled 0_1"),
+        (2, "# grid +4"),
+        (2, "# grid 0_4"),
+        (3, "# built_from 0 +2"),
     ],
     ids=[
         "settled-at-minus-one",
@@ -562,6 +568,12 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
         "second-grid-same",
         "second-built-from",
         "non-ascii",
+        "settle-plus-sign",
+        "row-plus-sign",
+        "settle-underscore",
+        "grid-plus-sign",
+        "grid-underscore",
+        "built-from-plus-sign",
     ],
 )
 def test_load_rejects_bad_cell_line_and_names_it(tmp_path, ln, text):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockbg import rng
+from blockbg.background import backfill, build_srbi, coverage
 from blockbg.bench import (
     REFERENCE_ORDER,
     Metrics,
@@ -16,12 +19,17 @@ from blockbg.bench import (
     gen_scene,
     parse_scene_file,
     reference_scene,
+    truth_boxes_for,
     write_report_csv,
     write_scene_file,
 )
 from blockbg.comparators import Method, default_config, score
 from blockbg.errors import SceneSpecError
 from blockbg.foreground import DetectedObject, ForegroundMask
+from blockbg.pipeline import PipelineParams, resolve_grid, run_detection
+from blockbg.validation import VEHICLE
+
+from helpers import FIXED
 
 # --- counter-based random streams ---
 
@@ -269,6 +277,69 @@ def test_evaluate_lower_threshold_accepts_the_pair():
     )
     assert (m.tp, m.fp, m.fn) == (1, 0, 0)
     assert m.det_accuracy == 1.0
+
+
+def test_evaluate_scores_whole_frame_truth_over_the_extent_both_masks_cover():
+    # g=8 crops 100x70 to 96x64; the mover crosses both strips left outside
+    spec = SceneSpec(
+        width=100, height=70, frame_count=20, seed=5,
+        movers=(Mover(x=-20, y=52, w=16, h=14, intensity=220, dx=6, dy=0),),
+    )
+    params = PipelineParams(grid=8)
+    scene = gen_scene(spec)
+    grid = resolve_grid(scene.frames, params)
+    h, w = grid.cropped_height, grid.cropped_width
+    assert (w, h) == (96, 64)
+    model = build_srbi(scene.frames, grid, default_config(Method.DCT))
+    if coverage(model) < 1.0:
+        model = backfill(model, scene.frames[model.built_from[1] - 1])
+    results = run_detection(model, scene.frames, params)
+    masks = [m for m, _ in results]
+    objects = [[o for o in objs if o.label == VEHICLE] for _, objs in results]
+    boxes = truth_boxes_for(spec, w, h, params)
+    whole = scene.truth_masks
+    cropped = [ForegroundMask(t.bits[:h, :w]) for t in whole]
+    assert sum(int(t.bits.sum()) for t in whole) > sum(int(t.bits.sum()) for t in cropped)
+    m = evaluate(masks, objects, whole, boxes)
+    assert m == evaluate(masks, objects, cropped, boxes)
+    assert m.pixel_recall > 0.9 and m.tp > 0
+
+
+def _matches_over_every_overlapping_pair(objs, boxes, iou_threshold):
+    """An independent statement of the match rule: assign greedily over
+    every overlapping pair, best IoU first, and count an assigned pair only
+    at ``iou_threshold`` or above."""
+    pairs = sorted(
+        (-box_iou(o.bbox, b), pi, ti)
+        for pi, o in enumerate(objs)
+        for ti, b in enumerate(boxes)
+        if box_iou(o.bbox, b) > 0
+    )
+    used_p, used_t, matched = set(), set(), 0
+    for neg_iou, pi, ti in pairs:
+        if pi in used_p or ti in used_t:
+            continue
+        used_p.add(pi)
+        used_t.add(ti)
+        matched += -neg_iou >= iou_threshold
+    return matched
+
+
+# Small boxes on a small canvas, so overlaps and exact IoU ties are common.
+BOXES = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 5), st.integers(1, 5)), max_size=5)
+
+
+@settings(FIXED, max_examples=400)
+@given(objs=BOXES, boxes=BOXES, iou_threshold=st.sampled_from((1e-9, 1 / 3, 0.5, 1.0)))
+# equal IoUs: one detection halfway between two boxes, and duplicates of both
+@example(objs=[(1, 0, 2, 2)], boxes=[(0, 0, 2, 2), (2, 0, 2, 2)], iou_threshold=1 / 3)
+@example(objs=[(0, 0, 2, 2)] * 2, boxes=[(0, 0, 2, 2), (1, 0, 2, 2)], iou_threshold=1 / 3)
+@example(objs=[(0, 0, 4, 4), (0, 0, 4, 4)], boxes=[(0, 0, 4, 4)] * 2, iou_threshold=1.0)
+def test_evaluate_matches_like_the_every_pair_matcher(objs, boxes, iou_threshold):
+    empty = rect_mask(16, 16, 0, 0, 0, 0)
+    m = evaluate([empty], [[obj_for(*o) for o in objs]], [empty], [boxes], iou_threshold)
+    matched = _matches_over_every_overlapping_pair([obj_for(*o) for o in objs], boxes, iou_threshold)
+    assert (m.tp, m.fp, m.fn) == (matched, len(objs) - matched, len(boxes) - matched)
 
 
 # --- settle bookkeeping ---

@@ -106,6 +106,33 @@ def test_absdiff_shape_mismatch():
         score(np.zeros((2, 2)), np.zeros((2, 3)), ABSDIFF)
 
 
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([[300, 44], [44, 44]], [[44, 44], [44, 44]], "block intensities must lie"),  # 300 would wrap to 44
+        ([[-1, 0], [0, 0]], [[0, 0], [0, 0]], "block intensities must lie"),  # -1 would wrap to 255
+        ([[0, 0], [0, 0]], np.full((2, 2), 256, dtype=np.int16), "block intensities must lie"),
+        (np.full((2, 2), 0.9), np.zeros((2, 2)), "block pixels must be integers"),  # 0.9 would truncate to 0
+        ([[True, False], [False, False]], [[0, 0], [0, 0]], "block pixels must be integers"),
+    ],
+    ids=["above-255", "negative", "int16-256", "float", "bool"],
+)
+def test_score_rejects_blocks_that_uint8_would_change(method, a, b, message):
+    with pytest.raises(ValueError, match=message):
+        score(a, b, default_config(method))
+    with pytest.raises(ValueError, match=message):
+        score(b, a, default_config(method))
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_score_takes_in_range_integer_blocks_of_any_dtype(method):
+    a, b = texture(7, 6, 6, lo=0, hi=256), texture(8, 6, 6, lo=0, hi=256)
+    cfg = default_config(method)
+    assert score(a.astype(np.int64), b.astype(np.int16), cfg) == score(a, b, cfg)
+    assert score(a.tolist(), b.tolist(), cfg) == score(a, b, cfg)
+
+
 # --- entropy ---
 
 
