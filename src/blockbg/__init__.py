@@ -54,7 +54,7 @@ from .foreground import (
     subtract,
 )
 from .imaging import Frame, load_frame, load_sequence, prefilter, save_frame
-from .pipeline import PipelineParams, detect_frame, resolve_grid, run_detection
+from .pipeline import PipelineParams, build_model, detect_frame, detect_stream, resolve_grid, run_detection
 from .validation import (
     HeuristicParams,
     classify_all,

@@ -26,6 +26,7 @@ from .blocks import BlockGrid, block_view, make_grid
 from .comparators import ComparatorConfig, score_blocks
 from .errors import InconsistentSequence, PnmError, SequenceTooShort
 from .imaging import Frame, load_frame, save_frame
+from .keyvalue import decimal_int
 
 CELL_UNSETTLED = -1
 CELL_BACKFILLED = -2
@@ -199,13 +200,6 @@ def save_model(model: BackgroundModel, path) -> None:
     )
 
 
-def _decimal(field: str) -> int:
-    """A sidecar integer: ASCII digits after at most a leading '-' (int() also takes '+1', '0_1')."""
-    if not field.removeprefix("-").isdigit():
-        raise ValueError(f"{field!r} is not a decimal integer")
-    return int(field)
-
-
 def load_model(path) -> BackgroundModel:
     """Load a model written by save_model (PGM + '.cells' sidecar).
 
@@ -234,18 +228,18 @@ def load_model(path) -> BackgroundModel:
                 if parts[:1] == ["grid"]:
                     if g is not None:
                         raise PnmError(f"{where}: second grid declaration")
-                    g = _decimal(parts[1])
+                    g = decimal_int(parts[1])
                     if g < 1:
                         raise PnmError(f"{where}: grid {g} is not positive")
                 elif parts[:1] == ["built_from"]:
                     if built is not None:
                         raise PnmError(f"{where}: second built_from declaration")
-                    built = (_decimal(parts[1]), _decimal(parts[2]))
+                    built = (decimal_int(parts[1]), decimal_int(parts[2]))
                     if not 0 <= built[0] <= built[1]:
                         raise PnmError(f"{where}: built_from {built} needs 0 <= start <= end")
                 continue
             row_s, col_s, name, settle_s = line.split()
-            cell, settle = (_decimal(row_s), _decimal(col_s)), _decimal(settle_s)
+            cell, settle = (decimal_int(row_s), decimal_int(col_s)), decimal_int(settle_s)
         except (ValueError, IndexError) as exc:
             raise PnmError(f"{where}: malformed {raw!r}") from exc
         if g is None or not (0 <= cell[0] < g and 0 <= cell[1] < g):

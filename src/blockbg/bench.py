@@ -24,13 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .background import DEFAULT_MAX_FRAMES, backfill, build_srbi, coverage
+from .background import DEFAULT_MAX_FRAMES
 from .comparators import ComparatorConfig, Method, default_config
 from .errors import SceneSpecError
 from .foreground import DetectedObject, ForegroundMask
 from .imaging import Frame
-from .keyvalue import read_key_values
-from .pipeline import PipelineParams, resolve_grid, run_detection
+from .keyvalue import decimal_float, decimal_int, read_key_values
+from .pipeline import PipelineParams, build_model, detect_stream
 from .validation import VEHICLE, validate
 
 # Reference detection accuracy of the original four-method evaluation,
@@ -354,29 +354,22 @@ def bench_methods(
     max_frames: int = DEFAULT_MAX_FRAMES,
     jobs: int = 1,
 ) -> list[BenchRow]:
-    """Run the full pipeline once per comparator over one scene, on ``jobs`` pool threads."""
+    """``detect``'s loop per comparator over one scene, model built inline and never rebuilt; ``jobs`` pool threads."""
     configs = [default_config(m) for m in Method]
     if params is None:
         params = PipelineParams()
     scene = gen_scene(spec)
-    grid = resolve_grid(scene.frames, params)
-    boxes = truth_boxes_for(spec, grid.cropped_width, grid.cropped_height, params)
 
     def run_one(cfg: ComparatorConfig) -> BenchRow:
-        model = build_srbi(scene.frames, grid, cfg, max_frames=max_frames)
-        cov = coverage(model)
-        if cov < 1.0:
-            model = backfill(model, scene.frames[model.built_from[1] - 1])
-        results = run_detection(model, scene.frames, params)
-        masks = [m for m, _ in results]
-        objects = [
-            [o for o in objs if o.label == VEHICLE] for _, objs in results
-        ]
+        model = build_model(scene.frames, params, cfg, max_frames)
+        masks, found = zip(*detect_stream(model, scene.frames, params))
+        objects = [[o for o in objs if o.label == VEHICLE] for objs in found]
+        boxes = truth_boxes_for(spec, model.grid.cropped_width, model.grid.cropped_height, params)
         metrics = evaluate(masks, objects, scene.truth_masks, boxes, iou_threshold)
         return BenchRow(
             method=cfg.method,
             metrics=metrics,
-            coverage=cov,
+            coverage=float(np.mean(model.cell_status >= 0)),  # settled, not backfilled
             frames_to_cover=model.built_from[1],  # a build stops at the pair settling its last cell
         )
 
@@ -440,13 +433,13 @@ def parse_scene_file(path) -> SceneSpec:
                 parts = [s.strip() for s in value.split(",")]
                 if len(parts) != 7:
                     raise SceneSpecError("mover needs x,y,w,h,intensity,dx,dy")
-                movers.append(Mover(*[int(s) for s in parts]))
+                movers.append(Mover(*[decimal_int(s) for s in parts]))
             elif key not in ("width", "height", "frames", "sigma", "seed"):
                 raise SceneSpecError(f"unknown key {key!r}")
             elif key in fields:
                 raise SceneSpecError(f"key {key!r} given twice")
             else:
-                fields[key] = float(value) if key == "sigma" else int(value)
+                fields[key] = decimal_float(value) if key == "sigma" else decimal_int(value)
         except ValueError as exc:  # a number that does not parse
             raise SceneSpecError(f"line {ln}: bad {key} value: {exc}") from exc
         except SceneSpecError as exc:

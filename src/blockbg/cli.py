@@ -26,15 +26,12 @@ from pathlib import Path
 
 from . import __version__
 from .background import (
-    CELL_UNSETTLED,
+    CELL_BACKFILLED,
     DEFAULT_MAX_FRAMES,
     BackgroundModel,
-    backfill,
-    build_srbi,
     coverage,
     load_model,
     save_model,
-    update_srbi,
 )
 from .bench import (
     DEFAULT_IOU,
@@ -59,8 +56,8 @@ from .foreground import (
     mask_to_frame,
 )
 from .imaging import DEFAULT_PATTERN, PREFILTERS, Frame, load_sequence, prefilter, save_frame
-from .keyvalue import read_key_values
-from .pipeline import PipelineParams, resolve_grid, run_detection
+from .keyvalue import decimal_float, decimal_int, read_key_values
+from .pipeline import PipelineParams, build_model, detect_stream
 from .validation import HeuristicParams
 
 _METHODS = tuple(m.value for m in Method)
@@ -68,21 +65,23 @@ _METHODS = tuple(m.value for m in Method)
 DEFAULT_REBUILD_EVERY = 300
 
 
-def _checked(kind, ok, rule: str):
-    """An argparse type: ``kind(text)``, which must satisfy ``ok``."""
+def _checked(parse, ok=lambda value: True, rule: str = ""):
+    """An argparse type: ``parse(text)``, which must satisfy ``ok``."""
 
     def convert(text: str):
-        value = kind(text)
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if not ok(value):  # written so that NaN fails
             raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
 
-    convert.__name__ = kind.__name__  # argparse's "invalid int value" names it
     return convert
 
 
 def _int_from(low: int):
-    return _checked(int, lambda v: v >= low, f">= {low}")
+    return _checked(decimal_int, lambda v: v >= low, f">= {low}")
 
 
 def _method(text: str) -> str:
@@ -97,7 +96,7 @@ def _grid(text: str) -> int | None:
     """auto is None; PipelineParams checks the size."""
     if text == "auto":
         return None
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected auto, 8, 16 or 32, got {text!r}")
     return int(text)
 
@@ -105,7 +104,7 @@ def _grid(text: str) -> int | None:
 def _bands(text: str) -> tuple[float, float]:
     """LOW,HIGH; PipelineParams checks their order."""
     try:
-        low, high = (float(s) for s in text.split(","))
+        low, high = (decimal_float(s) for s in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LOW,HIGH, got {text!r}") from None
     return low, high
@@ -132,9 +131,9 @@ def _add_build_knobs(p: argparse.ArgumentParser) -> None:
 def _add_model_knobs(p: argparse.ArgumentParser) -> None:
     thresholds = ", ".join(f"{m.value} {t}" for m, t in DEFAULT_THRESHOLDS.items())
     p.add_argument("--method", type=_method, default=Method.DCT.value, help=f"block comparator: {', '.join(_METHODS)} (default %(default)s)")
-    p.add_argument("--threshold", type=float, help=f"static/dynamic score threshold (default {thresholds})")
-    p.add_argument("--xor-shift", type=int, default=DEFAULT_XOR_SHIFT, help="XOR quantization shift (default %(default)s)")
-    p.add_argument("--dct-k", type=int, default=DEFAULT_DCT_KEEP, help="DCT coefficients kept (default %(default)s)")
+    p.add_argument("--threshold", type=_checked(decimal_float), help=f"static/dynamic score threshold (default {thresholds})")
+    p.add_argument("--xor-shift", type=_checked(decimal_int), default=DEFAULT_XOR_SHIFT, help="XOR quantization shift (default %(default)s)")
+    p.add_argument("--dct-k", type=_checked(decimal_int), default=DEFAULT_DCT_KEEP, help="DCT coefficients kept (default %(default)s)")
     _add_grid_thresholds(p)
     p.add_argument("--prefilter", choices=PREFILTERS, default=PREFILTERS[0], help="denoise frames before use (default %(default)s)")
     _add_build_knobs(p)
@@ -143,15 +142,15 @@ def _add_model_knobs(p: argparse.ArgumentParser) -> None:
 def _add_detect_knobs(p: argparse.ArgumentParser) -> dict[str, object]:
     """Add the detection knobs' flags; returns their defaults by name."""
     added = [
-        p.add_argument("--subtract-shift", type=int, default=DEFAULT_SUBTRACT_SHIFT, help="quantization shift for subtraction (default %(default)s)"),
-        p.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="median filter window, odd >= 3 (default %(default)s)"),
-        p.add_argument("--min-area", type=float, help=f"minimum object area in pixels (default {100 * DEFAULT_MIN_AREA_FRAC:g}%% of cropped area)"),
+        p.add_argument("--subtract-shift", type=_checked(decimal_int), default=DEFAULT_SUBTRACT_SHIFT, help="quantization shift for subtraction (default %(default)s)"),
+        p.add_argument("--window", type=_checked(decimal_int), default=DEFAULT_WINDOW, help="median filter window, odd >= 3 (default %(default)s)"),
+        p.add_argument("--min-area", type=_checked(decimal_float), help=f"minimum object area in pixels (default {100 * DEFAULT_MIN_AREA_FRAC:g}%% of cropped area)"),
         p.add_argument("--no-validate", action="store_true", help="skip the vehicle heuristic; label everything vehicle"),
-        p.add_argument("--aspect-min", type=float, default=HeuristicParams.aspect_min, help="heuristic: min w/h (default %(default)s)"),
-        p.add_argument("--aspect-max", type=float, default=HeuristicParams.aspect_max, help="heuristic: max w/h (default %(default)s)"),
-        p.add_argument("--fill-min", type=float, default=HeuristicParams.fill_min, help="heuristic: min bbox fill (default %(default)s)"),
-        p.add_argument("--area-min-frac", type=float, default=HeuristicParams.area_min_frac, help="heuristic: min area fraction (default %(default)s)"),
-        p.add_argument("--area-max-frac", type=float, default=HeuristicParams.area_max_frac, help="heuristic: max area fraction (default %(default)s)"),
+        p.add_argument("--aspect-min", type=_checked(decimal_float), default=HeuristicParams.aspect_min, help="heuristic: min w/h (default %(default)s)"),
+        p.add_argument("--aspect-max", type=_checked(decimal_float), default=HeuristicParams.aspect_max, help="heuristic: max w/h (default %(default)s)"),
+        p.add_argument("--fill-min", type=_checked(decimal_float), default=HeuristicParams.fill_min, help="heuristic: min bbox fill (default %(default)s)"),
+        p.add_argument("--area-min-frac", type=_checked(decimal_float), default=HeuristicParams.area_min_frac, help="heuristic: min area fraction (default %(default)s)"),
+        p.add_argument("--area-max-frac", type=_checked(decimal_float), default=HeuristicParams.area_max_frac, help="heuristic: max area fraction (default %(default)s)"),
     ]
     return {a.dest: a.default for a in added}
 
@@ -172,7 +171,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_model_knobs(p_model)
     p_model.add_argument("--out", required=True, help="output model PGM path")
     p_model.add_argument("--no-backfill", action="store_true", help="leave unsettled cells empty")
-    p_model.add_argument("--min-coverage", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"), default=1.0, help="fail below this coverage (default %(default)s)")
+    p_model.add_argument("--min-coverage", type=_checked(decimal_float, lambda v: 0 <= v <= 1, "in [0, 1]"), default=1.0, help="fail below this coverage (default %(default)s)")
     _add_common(p_model)
 
     p_detect = sub.add_parser("detect", help="detect moving objects against a model")
@@ -189,7 +188,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_bench = sub.add_parser("bench", help="benchmark all four methods on a synthetic scene")
     p_bench.add_argument("--scene", required=True, help="scene description file")
     p_bench.add_argument("--out", required=True, help="output report CSV path")
-    p_bench.add_argument("--iou", type=_checked(float, lambda v: 0 < v <= 1, "in (0, 1]"), default=DEFAULT_IOU, help="object match IoU threshold (default %(default)s)")
+    p_bench.add_argument("--iou", type=_checked(decimal_float, lambda v: 0 < v <= 1, "in (0, 1]"), default=DEFAULT_IOU, help="object match IoU threshold (default %(default)s)")
     _add_detect_knobs(p_bench)
     _add_build_knobs(p_bench)
     p_bench.add_argument("--jobs", type=_int_from(1), default=1, help="worker threads over methods (default %(default)s)")
@@ -295,32 +294,11 @@ def _frames(args: argparse.Namespace) -> Iterator[Frame]:
     return (prefilter(f, args.prefilter) for f in _sequence(args))
 
 
-def _build(
-    frames: Iterator[Frame],
-    pulled,
-    params: PipelineParams,
-    cfg: ComparatorConfig,
-    max_frames: int,
-    fill: bool = True,
-    scores: deque | None = None,
-) -> BackgroundModel:
-    """Build a model from the head of ``frames``; every frame the build
-    pulls is appended to ``pulled``. With ``fill``, cells that never
-    settled are backfilled from the last frame pulled, with a note."""
-    head = list(islice(frames, 2))
-    grid = resolve_grid(head, params)
-
-    def pulling() -> Iterator[Frame]:
-        for frame in chain(head, frames):
-            pulled.append(frame)
-            yield frame
-
-    model = build_srbi(pulling(), grid, cfg, max_frames=max_frames, scores=scores)
-    if fill and coverage(model) < 1.0:
-        n = int((model.cell_status == CELL_UNSETTLED).sum())
-        model = backfill(model, pulled[-1])
+def _note_backfill(model: BackgroundModel) -> None:
+    """Say on stderr how many cells the build backfilled, if any."""
+    n = int((model.cell_status == CELL_BACKFILLED).sum())
+    if n:
         print(f"backfilled {n} unsettled cell(s) from frame {model.built_from[1] - 1}", file=sys.stderr)
-    return model
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
@@ -328,7 +306,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
     params = _pipeline_params(args)
     out = Path(args.out)
 
-    model = _build(_frames(args), deque(maxlen=1), params, cfg, args.max_frames, not args.no_backfill)
+    model = build_model(_frames(args), params, cfg, args.max_frames, fill=not args.no_backfill)
+    _note_backfill(model)
     save_model(model, out)
     _echo_config(args, out.with_name(out.name + ".config.txt"))
     final_cov = coverage(model)
@@ -340,22 +319,21 @@ def _cmd_model(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     cfg = _comparator_config(args)
     params = _pipeline_params(args)
-    max_frames, rebuild_every = args.max_frames, args.rebuild_every
     out_dir = Path(args.out_dir)
 
     frames = _frames(args)
     pulled = []  # frames the inline build decoded; detection starts with them
-    scores = deque()  # pair k's block scores: frames k, k + 1 of the build, then of recent
+    scores = deque()  # pair k's block scores: frames k, k + 1 of the build, then of the rebuild window
     if args.model is not None:
         model = load_model(args.model)  # frames smaller than it fail in subtract
     else:
-        model = _build(islice(frames, args.model_frames), pulled, params, cfg, max_frames, scores=scores)
-    # The loop takes the pulled frames over. Through iter() the list is freed
-    # once the loop has passed it; chain would hold it until frames ran out.
-    frames, pulled = chain(iter(pulled), frames), None
-
-    # The last max_frames detected frames, kept only for inline rebuilds.
-    recent = deque(maxlen=max_frames if args.model_frames is not None and rebuild_every else 0)
+        model = build_model(islice(frames, args.model_frames), params, cfg, args.max_frames, pulled=pulled, scores=scores)
+        _note_backfill(model)
+    rebuild_every = args.rebuild_every if args.model is None else 0  # a saved model is never rebuilt
+    results = detect_stream(model, chain(iter(pulled), frames), params, cfg, args.max_frames, rebuild_every, scores)
+    # The loop takes the model and the pulled frames over; through iter(), not
+    # chain's own, the list is freed once the loop has passed it.
+    del pulled, model
     out_dir.mkdir(parents=True, exist_ok=True)
     n_frames = n_objects = 0
     with open(out_dir / "objects.csv", "w", newline="") as fh:
@@ -363,19 +341,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         writer.writerow(
             ("frame_index", "object_index", "x", "y", "w", "h", "area", "label", "score")
         )
-        for i, frame in enumerate(frames):
-            if len(recent) >= 2 and i % rebuild_every == 0:
-                # the model in use is complete, so only complete rebuilds are adopted
-                model = update_srbi(model, recent, cfg, max_frames=max_frames, scores=scores)
-            ((mask, objects),) = run_detection(model, [frame], params)
+        for i, (mask, objects) in enumerate(results):
             save_frame(mask_to_frame(mask), out_dir / f"mask_{i:06d}.pgm")
             writer.writerows(
                 (i, oi, o.x, o.y, o.w, o.h, o.area, o.label, f"{o.score:.6f}")
                 for oi, o in enumerate(objects)
             )
-            if len(recent) == recent.maxlen and scores:
-                scores.popleft()  # its pair loses recent[0]
-            recent.append(frame)
             n_frames, n_objects = i + 1, n_objects + len(objects)
     _echo_config(args, out_dir / "config.txt")
     print(f"frames {n_frames}")

@@ -1,10 +1,29 @@
-"""The ``key=value`` text that config files and scene files share."""
+"""The ``key=value`` text that config files and scene files share, and the
+one rule for the numbers in text inputs."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from .errors import PipelineError
+
+_FLOAT = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|-?inf|nan")
+
+
+def decimal_int(text: str) -> int:
+    """ASCII digits after at most a leading '-' (int() also takes '+1', '0_1', ' 1')."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
+def decimal_float(text: str) -> float:
+    """ASCII digits with at most one '.' and an optional exponent, after at
+    most a leading '-'; or nan, inf, -inf, for the value's range check to name."""
+    if not _FLOAT.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return float(text)
 
 
 def read_key_values(path, error: type[PipelineError], where: str) -> list[tuple[int, str, str]]:

@@ -1,15 +1,18 @@
-"""Shared plumbing: grid resolution and per-frame detection.
+"""Shared plumbing: grid resolution, model building and the detect loop.
 
-Both the CLI and the benchmark harness run the same chain per frame:
-subtract -> median cleanup -> connected components -> classify. Results
-are deterministic for a given input.
+The CLI and the benchmark harness build a model with ``build_model`` and
+run subtract -> median cleanup -> connected components -> classify on each
+frame with ``detect_stream``. Results are deterministic for a given input.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 
-from .background import BackgroundModel
+from .background import DEFAULT_MAX_FRAMES, BackgroundModel, backfill, build_srbi, coverage, update_srbi
 from .blocks import (
     DELTA_H_HIGH,
     DELTA_H_LOW,
@@ -18,6 +21,7 @@ from .blocks import (
     make_grid,
     select_grid,
 )
+from .comparators import ComparatorConfig
 from .errors import SequenceTooShort
 from .foreground import (
     DEFAULT_MIN_AREA_FRAC,
@@ -100,3 +104,45 @@ def run_detection(
 ) -> list[tuple[ForegroundMask, list[DetectedObject]]]:
     """detect_frame over a sequence; output order always matches input."""
     return [detect_frame(model, f, params) for f in frames]
+
+
+def build_model(
+    frames: Iterable[Frame], params: PipelineParams, cfg: ComparatorConfig,
+    max_frames: int = DEFAULT_MAX_FRAMES, fill: bool = True, pulled: list | None = None, scores: deque | None = None,
+) -> BackgroundModel:
+    """``build_srbi`` with ``scores`` over the head of ``frames``, on the grid
+    their first two resolve to; each frame it pulls is appended to ``pulled``.
+    With ``fill``, cells that never settled are backfilled from the last one."""
+    pulled = deque(maxlen=1) if pulled is None else pulled
+    frames = iter(frames)
+    head = list(islice(frames, 2))
+    grid = resolve_grid(head, params)
+
+    def pulling() -> Iterator[Frame]:
+        for frame in chain(head, frames):
+            pulled.append(frame)
+            yield frame
+
+    model = build_srbi(pulling(), grid, cfg, max_frames=max_frames, scores=scores)
+    if fill and coverage(model) < 1.0:
+        model = backfill(model, pulled[-1])
+    return model
+
+
+def detect_stream(
+    model: BackgroundModel, frames: Iterable[Frame], params: PipelineParams, cfg: ComparatorConfig | None = None,
+    max_frames: int = DEFAULT_MAX_FRAMES, rebuild_every: int = 0, scores: deque | None = None,
+) -> Iterator[tuple[ForegroundMask, list[DetectedObject]]]:
+    """Each frame's mask and objects, in order. With ``rebuild_every`` N > 0,
+    ``update_srbi`` rebuilds the model with ``cfg`` before every Nth frame
+    from the last ``max_frames`` frames, the only ones held besides the
+    current one, reusing their pair scores in ``scores`` (at first the build's)."""
+    recent = deque(maxlen=max_frames if rebuild_every else 0)
+    for i, frame in enumerate(frames):
+        if len(recent) >= 2 and i % rebuild_every == 0:
+            model = update_srbi(model, recent, cfg, max_frames=max_frames, scores=scores)
+        ((mask, objects),) = run_detection(model, [frame], params)
+        yield mask, objects
+        if len(recent) == recent.maxlen and scores:
+            scores.popleft()  # its pair loses recent[0]
+        recent.append(frame)

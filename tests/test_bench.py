@@ -492,6 +492,11 @@ def test_scene_file_errors_name_the_line(tmp_path):
         ("width=32\nheight=32\nframes=4\n# note\nseed=1\xff\n", 5, "0xff is not UTF-8"),
         ("width=32\r\n\x80height=32\nframes=4\n", 2, "0x80 is not UTF-8"),
         ("\xc3", 1, "0xc3 is not UTF-8"),
+        ("width=1_60\nheight=32\nframes=4\n", 1, "bad width value: '1_60' is not a decimal integer"),
+        ("width=32\nheight=+120\nframes=4\n", 2, "bad height value"),
+        ("width=32\nheight=32\nframes=1_0\n", 3, "bad frames value"),
+        ("width=32\nheight=32\nframes=4\nsigma=0_5.0\n", 4, "bad sigma value: '0_5.0' is not a decimal number"),
+        ("width=32\nheight=32\nframes=4\nmover=0,0,4,4,100,+1,0\n", 4, "bad mover value"),
     ):
         path.write_bytes(text.encode("latin-1"))
         with pytest.raises(SceneSpecError, match=f"^line {ln}: .*{named}"):

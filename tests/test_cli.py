@@ -312,7 +312,7 @@ def test_detect_rebuilds_score_each_frame_pair_once(tmp_path, capsys, monkeypatc
         rebuilt.append(tally[0] - before)
         return model
 
-    monkeypatch.setattr(blockbg.cli, "update_srbi", counting_update)
+    monkeypatch.setattr("blockbg.pipeline.update_srbi", counting_update)
     code, _, _ = run(
         capsys, "detect", "--input", str(d), "--model-frames", "3", "--max-frames", max_frames,
         "--rebuild-every", "1", "--method", "dct", "--grid", "8", "--out-dir", str(tmp_path / "out"),
@@ -339,7 +339,7 @@ def test_detect_rebuilds_reuse_the_inline_builds_scores(tmp_path, capsys, monkey
         rebuilt.append(tally[0] - before)
         return model
 
-    monkeypatch.setattr(blockbg.cli, "update_srbi", counting_update)
+    monkeypatch.setattr("blockbg.pipeline.update_srbi", counting_update)
     code, _, stderr = run(
         capsys, "detect", "--input", str(d), "--model-frames", "12", "--max-frames", "150",
         "--rebuild-every", "2", "--method", "dct", "--grid", "8", "--out-dir", str(tmp_path / "out"),
@@ -689,8 +689,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         (base + ["--min-coverage", "1.5"], "got 1.5"),
         (bench + ["--iou", "7"], "got 7.0"),
         (bench + ["--iou", "0"], "got 0.0"),
+        (bench + ["--max-frames", "1_0"], "--max-frames: '1_0' is not a decimal integer"),
+        (bench + ["--jobs", "+2"], "--jobs: '+2' is not a decimal integer"),
+        (bench + ["--iou", "0_0.5"], "--iou: '0_0.5' is not a decimal number"),
         (base + ["--threshold", "nan"], "got nan"),
         (base + ["--grid", "12x"], "expected auto, 8, 16 or 32, got '12x'"),
+        (base + ["--grid", "\uff18"], "expected auto, 8, 16 or 32, got '\uff18'"),
         (base + ["--grid-thresholds", "0.1"], "expected LOW,HIGH, got '0.1'"),
         (base + ["--grid-thresholds", "0.3,0.1"], "grid thresholds must satisfy 0 < low < high"),
         (base + ["--config", str(tmp_path / "missing.cfg")], "cannot read config file"),

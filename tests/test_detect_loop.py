@@ -1,0 +1,152 @@
+"""The one build-and-detect path that ``model``, ``detect`` and ``bench``
+share, and the names perfbench's tracer patches on it."""
+
+import csv
+import importlib
+import importlib.util
+import os
+import weakref
+from collections import deque
+from itertools import chain, islice
+from pathlib import Path
+
+import numpy as np
+
+import blockbg.cli
+import blockbg.pipeline
+from blockbg.bench import Mover, SceneSpec, bench_methods, evaluate, gen_scene, truth_boxes_for
+from blockbg.cli import main
+from blockbg.comparators import Method, default_config
+from blockbg.foreground import DetectedObject, frame_to_mask
+from blockbg.imaging import Frame, load_frame
+from blockbg.pipeline import PipelineParams, build_model, detect_stream
+from blockbg.validation import VEHICLE
+
+from helpers import texture, write_frames
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_detect_stream_holds_only_the_rebuild_window(monkeypatch):
+    # 48 frames, 12 times the window: a frame or a pair's scores kept past
+    # the window would pile up. Each frame is a fresh object, so a weak
+    # reference tells whether anything still holds it.
+    max_frames = 4
+    spec = SceneSpec(
+        64, 48, 48,
+        movers=(Mover(0, 8, 12, 8, 230, 2, 0), Mover(56, 28, 10, 8, 20, -2, 1)),
+        noise_sigma=4.0, seed=5,
+    )
+    pixels = [f.pixels for f in gen_scene(spec).frames]
+    refs = []
+
+    def stream():
+        for px in pixels:
+            frame = Frame(px.copy())
+            refs.append(weakref.ref(frame))
+            yield frame
+
+    rebuilds = []
+    update_srbi = blockbg.pipeline.update_srbi
+    monkeypatch.setattr(
+        blockbg.pipeline, "update_srbi", lambda *a, **k: rebuilds.append(1) or update_srbi(*a, **k)
+    )
+    frames = stream()
+    params, cfg = PipelineParams(grid=8), default_config(Method.DCT)
+    pulled, scores = [], deque()
+    model = build_model(islice(frames, 3), params, cfg, max_frames, pulled=pulled, scores=scores)
+    built = len(pulled)
+    frames, pulled = chain(iter(pulled), frames), None
+    results = detect_stream(model, frames, params, cfg, max_frames, rebuild_every=1, scores=scores)
+    for i, _ in enumerate(results):
+        alive = [t for t, ref in enumerate(refs) if ref() is not None]
+        assert len(alive) <= max_frames + 1, (i, alive)
+        if i >= built:
+            assert len(scores) <= max_frames, i
+    assert i == len(pixels) - 1 and len(rebuilds) == len(pixels) - 2
+
+
+def test_bench_scores_what_detect_writes(tmp_path, capsys):
+    # bench_methods runs detect's loop with an inline model over the whole
+    # scene and no rebuilds; evaluate over detect's files must agree exactly.
+    # At sigma 8 entropy settles every cell and the others are backfilled.
+    spec = SceneSpec(
+        64, 48, 14,
+        movers=(Mover(-16, 10, 16, 10, 230, 5, 0), Mover(64, 30, 14, 8, 25, -4, 0)),
+        noise_sigma=8.0, seed=3,
+    )
+    scene = gen_scene(spec)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_frames(frames, [f.pixels for f in scene.frames])
+    params = PipelineParams(grid=8)
+    rows = bench_methods(spec, params=params)
+    assert [r.coverage == 1.0 for r in rows] == [False, True, False, False]
+    for row in rows:
+        out = tmp_path / row.method.value
+        code = main([
+            "detect", "--input", str(frames), "--model-frames", str(spec.frame_count),
+            "--rebuild-every", "0", "--grid", "8", "--method", row.method.value, "--out-dir", str(out),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        masks = [frame_to_mask(load_frame(out / f"mask_{t:06d}.pgm")) for t in range(spec.frame_count)]
+        objects = [[] for _ in masks]
+        with open(out / "objects.csv", newline="") as fh:
+            for r in csv.DictReader(fh):
+                if r["label"] == VEHICLE:
+                    box = [int(r[k]) for k in ("x", "y", "w", "h", "area")]
+                    objects[int(r["frame_index"])].append(DetectedObject(*box, 0.0, 0.0))
+        boxes = truth_boxes_for(spec, masks[0].width, masks[0].height, params)
+        assert evaluate(masks, objects, scene.truth_masks, boxes) == row.metrics, row.method
+
+
+def test_a_failed_inline_build_creates_no_out_dir(tmp_path, capsys):
+    frames = tmp_path / "mixed"
+    frames.mkdir()
+    write_frames(frames, [texture(63, 16, 16), texture(63, 32, 32)])
+    out_dir = tmp_path / "out"
+    code = main([
+        "detect", "--input", str(frames), "--model-frames", "2", "--grid", "8",
+        "--out-dir", str(out_dir),
+    ])
+    assert code == 1 and "frame 1 is 32x32" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_names_the_tracer_patches_are_there(tmp_path, capsys, monkeypatch):
+    # The tracer replaces these module attributes and blockbg.cli's global
+    # open; a renamed function or a moved open would silently drop spans.
+    tracing = load_tracing()
+    for module, attr in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    opened, detected = [], []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(os.path.basename(os.fspath(file)))
+        return open(file, *args, **kwargs)
+
+    run_detection = blockbg.pipeline.run_detection
+    monkeypatch.setattr(blockbg.cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(
+        blockbg.pipeline, "run_detection",
+        lambda model, frames, params: detected.append(len(frames)) or run_detection(model, frames, params),
+    )
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_frames(frames, [np.full((32, 32), 96, dtype=np.uint8)] * 3)
+    code = main([
+        "detect", "--input", str(frames), "--model-frames", "2", "--rebuild-every", "1",
+        "--grid", "8", "--out-dir", str(tmp_path / "out"),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert tracing.CSV_NAME in opened
+    assert detected == [1, 1, 1]  # one span per frame
