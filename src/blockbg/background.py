@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import MutableSequence
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .blocks import BlockGrid, block_view, make_grid
 from .comparators import ComparatorConfig, score_blocks
 from .errors import InconsistentSequence, PnmError, SequenceTooShort
 from .imaging import Frame, load_frame, save_frame
-from .keyvalue import decimal_int
 
 CELL_UNSETTLED = -1
 CELL_BACKFILLED = -2
@@ -176,91 +176,72 @@ _STATUS_CODES = {name: code for code, name in _STATUS_NAMES.items()}
 _SETTLE_MAX = int(np.iinfo(np.int32).max)  # the largest settle index cell_status holds
 
 
-def save_model(model: BackgroundModel, path) -> None:
-    """Write the SRBI as PGM plus a '.cells' text sidecar.
+def _sidecar_lines(g: int, built_from: tuple[int, int], codes: list[int]) -> list[str]:
+    """Every line of a '.cells' sidecar, newline included: a header, the
+    grid, the ``built_from`` range, then ``row col status settle_index`` for
+    each of the row-major status ``codes``; settle_index is -1 unless the
+    cell settled from a frame pair."""
+    lines = ["# srbi cells v1\n", f"# grid {g}\n", f"# built_from {built_from[0]} {built_from[1]}\n"]
+    for i, code in enumerate(codes):
+        name = _STATUS_NAMES.get(code, "settled")
+        lines.append(f"{i // g} {i % g} {name} {max(code, -1)}\n")
+    return lines
 
-    Sidecar lines are ``row col status settle_index`` per cell, row-major;
-    settle_index is -1 unless the cell settled from a frame pair.
-    """
+
+def save_model(model: BackgroundModel, path) -> None:
+    """Write the SRBI as PGM plus a '.cells' text sidecar (see ``_sidecar_lines``)."""
     path = Path(path)
     save_frame(Frame(model.pixels), path)
-    lines = [
-        "# srbi cells v1",
-        f"# grid {model.grid.g}",
-        f"# built_from {model.built_from[0]} {model.built_from[1]}",
-    ]
-    for row in range(model.grid.g):
-        for col in range(model.grid.g):
-            s = int(model.cell_status[row, col])
-            name = _STATUS_NAMES.get(s, "settled")
-            settle = s if s >= 0 else -1
-            lines.append(f"{row} {col} {name} {settle}")
-    path.with_name(path.name + _SIDECAR_SUFFIX).write_text(
-        "\n".join(lines) + "\n", encoding="ascii"
-    )
+    lines = _sidecar_lines(model.grid.g, model.built_from, model.cell_status.ravel().tolist())
+    path.with_name(path.name + _SIDECAR_SUFFIX).write_text("".join(lines), encoding="ascii")
 
 
 def load_model(path) -> BackgroundModel:
     """Load a model written by save_model (PGM + '.cells' sidecar).
 
-    Raises PnmError naming the sidecar line that is malformed, declares a
-    non-positive grid or a ``built_from`` range that runs backwards or below
-    frame 0, repeats a ``grid`` or ``built_from`` declaration, is out of the
-    grid, repeated, or pairs a status with an impossible settle index.
+    The sidecar must hold exactly the lines save_model writes for the grid,
+    ``built_from`` range and cell statuses it states. Raises PnmError naming
+    the first line that differs, a grid on line 2 that is missing, not
+    positive or does not divide the image (before any cell is read), a
+    ``built_from`` range that runs backwards or below frame 0, or a settle
+    index past int32.
     """
     path = Path(path)
     frame = load_frame(path)
     sidecar = path.with_name(path.name + _SIDECAR_SUFFIX)
     if not sidecar.exists():
         raise PnmError(f"model sidecar missing: {sidecar}")
-    g = built = None
-    cells = {}
-    # A non-ASCII byte reads as U+FFFD, which no field parses: outside a comment it fails its line.
-    text = sidecar.read_text(encoding="ascii", errors="replace")
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        where = f"model sidecar line {ln}"
-        try:
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts[:1] == ["grid"]:
-                    if g is not None:
-                        raise PnmError(f"{where}: second grid declaration")
-                    g = decimal_int(parts[1])
-                    if g < 1:
-                        raise PnmError(f"{where}: grid {g} is not positive")
-                elif parts[:1] == ["built_from"]:
-                    if built is not None:
-                        raise PnmError(f"{where}: second built_from declaration")
-                    built = (decimal_int(parts[1]), decimal_int(parts[2]))
-                    if not 0 <= built[0] <= built[1]:
-                        raise PnmError(f"{where}: built_from {built} needs 0 <= start <= end")
-                continue
-            row_s, col_s, name, settle_s = line.split()
-            cell, settle = (decimal_int(row_s), decimal_int(col_s)), decimal_int(settle_s)
-        except (ValueError, IndexError) as exc:
-            raise PnmError(f"{where}: malformed {raw!r}") from exc
-        if g is None or not (0 <= cell[0] < g and 0 <= cell[1] < g):
-            raise PnmError(f"{where}: cell {cell} is not inside a grid declared above it")
-        if cell in cells:
-            raise PnmError(f"{where}: cell {cell} listed twice")
-        code = settle if name == "settled" else _STATUS_CODES.get(name)
-        if code is None:
-            raise PnmError(f"{where}: unknown cell status {name!r}")
-        if not (0 <= settle <= _SETTLE_MAX if name == "settled" else settle == -1):
-            raise PnmError(f"{where}: status {name} with settle index {settle}")
-        cells[cell] = code
-    if g is None:
-        raise PnmError(f"model sidecar lacks a grid declaration: {sidecar}")
+    # A non-ASCII byte reads as U+FFFD, which no line of a sidecar holds.
+    got = sidecar.read_text(encoding="ascii", errors="replace").splitlines(keepends=True)
+    try:
+        g = int(got[1].removeprefix("# grid "))
+    except (IndexError, ValueError):
+        raise PnmError("model sidecar line 2: lacks a grid declaration") from None
+    if g < 1:
+        raise PnmError(f"model sidecar line 2: grid {g} is not positive")
     if frame.width % g or frame.height % g:
-        raise PnmError("model image dimensions are not a multiple of the grid")
+        raise PnmError(f"model sidecar line 2: model image dimensions are not a multiple of the grid {g}")
+    try:
+        start, end = map(int, got[2].removeprefix("# built_from ").split())
+    except (IndexError, ValueError):
+        start = end = 0  # no rendering matches such a line
+    if not 0 <= start <= end:
+        raise PnmError(f"model sidecar line 3: built_from ({start}, {end}) needs 0 <= start <= end")
+    codes = []
+    for ln, line in enumerate(got[3 : 3 + g * g], start=4):
+        try:
+            _, _, name, settle = line.split()
+            code = int(settle) if name == "settled" else _STATUS_CODES[name]
+        except (KeyError, ValueError):
+            code = CELL_UNSETTLED  # no rendering matches such a line
+        if code > _SETTLE_MAX:
+            raise PnmError(f"model sidecar line {ln}: settle index {code} is past int32")
+        codes.append(code)
+    codes += [CELL_UNSETTLED] * (g * g - len(codes))  # cells past the end of the file
+    expected = _sidecar_lines(g, (start, end), codes)
+    for ln, (want, have) in enumerate(zip_longest(expected, got, fillvalue=""), start=1):
+        if want != have:
+            raise PnmError(f"model sidecar line {ln}: expected {want!r}, got {have!r}")
     grid = make_grid(frame.width, frame.height, g)
-    status = np.full((g, g), CELL_UNSETTLED, dtype=np.int32)
-    for cell, code in cells.items():
-        status[cell] = code
-    missing = [cell for cell in np.ndindex(g, g) if cell not in cells]
-    if missing:
-        raise PnmError(f"model sidecar missing cell {missing[0]}")
-    return BackgroundModel(grid=grid, pixels=frame.pixels, cell_status=status, built_from=built or (0, 0))
+    status = np.array(codes, dtype=np.int32).reshape(g, g)
+    return BackgroundModel(grid=grid, pixels=frame.pixels, cell_status=status, built_from=(start, end))

@@ -99,6 +99,8 @@ class SceneSpec:
             raise SceneSpecError("scene needs at least 2 frames")
         if not 0 <= self.noise_sigma < math.inf:  # NaN fails too
             raise SceneSpecError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not 0 <= self.seed < 2**64:  # rng reduces a seed modulo 2**64
+            raise SceneSpecError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass

@@ -156,7 +156,7 @@ def connected_components(mask: ForegroundMask, min_area: float = 0.0) -> list[De
     Objects come back sorted by (bbox.y, bbox.x); ties keep raster order
     of their first pixel.
     """
-    if min_area < 0:
+    if not min_area >= 0:  # NaN fails too
         raise ValueError(f"min_area must be >= 0, got {min_area}")
     h, w = mask.bits.shape
     # Horizontal runs in raster order as row-major keys y*stride + x over

@@ -136,7 +136,13 @@ def detect_stream(
     """Each frame's mask and objects, in order. With ``rebuild_every`` N > 0,
     ``update_srbi`` rebuilds the model with ``cfg`` before every Nth frame
     from the last ``max_frames`` frames, the only ones held besides the
-    current one, reusing their pair scores in ``scores`` (at first the build's)."""
+    current one, reusing their pair scores in ``scores`` (at first the build's).
+    A negative ``rebuild_every``, or a positive one without ``cfg``, raises
+    ValueError before any frame is read."""
+    if rebuild_every < 0:
+        raise ValueError(f"rebuild_every must be >= 0, got {rebuild_every}")
+    if rebuild_every and cfg is None:
+        raise ValueError("rebuilding needs a comparator config")
     recent = deque(maxlen=max_frames if rebuild_every else 0)
     for i, frame in enumerate(frames):
         if len(recent) >= 2 and i % rebuild_every == 0:

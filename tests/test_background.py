@@ -521,11 +521,11 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
     sidecar.write_text(sidecar.read_text().replace("# grid 4", "# grid 17"))
     with pytest.raises(PnmError, match="not a multiple of the grid"):
         load_model(path)
-    # A grid far wider than the image is read line by line all the same:
-    # a repeated cell still names its line before the grid is rejected.
+    # A grid far wider than the image is rejected on its own line 2, before
+    # any cell is read, so the repeated cell below it is never reached.
     text = sidecar.read_text().replace("# grid 17", "# grid 99999999999")
     sidecar.write_text(text.replace("0 1 settled", "0 0 settled"))
-    with pytest.raises(PnmError, match=r"line 5: cell \(0, 0\) listed twice"):
+    with pytest.raises(PnmError, match=r"line 2: .*not a multiple of the grid"):
         load_model(path)
 
 
@@ -585,3 +585,32 @@ def test_load_rejects_bad_cell_line_and_names_it(tmp_path, ln, text):
     sidecar.write_text("\n".join(lines) + "\n")
     with pytest.raises(PnmError, match=f"line {ln}:"):
         load_model(path)
+
+
+def test_load_accepts_only_the_lines_save_model_writes(tmp_path):
+    # The reader once skipped blank and comment lines, took cells in any
+    # order and any spelling of a number, and defaulted a missing header.
+    path = saved_model_path(tmp_path)
+    sidecar = tmp_path / "model.pgm.cells"
+    text = sidecar.read_text()
+    lines = text.splitlines(keepends=True)
+    for edited, ln in (
+        (lines[:4] + ["\n"] + lines[4:], 5),  # a blank line between two cells
+        (lines[:3] + ["# note\n"] + lines[3:], 4),
+        (lines[:3] + [lines[4], lines[3]] + lines[5:], 4),  # two cells swapped
+        (lines[:3] + ["0 0 settled 007\n"] + lines[4:], 4),
+        (lines[:3] + ["0 0 settled 1 \n"] + lines[4:], 4),
+        (lines[:2] + lines[3:], 3),  # no built_from line
+        (lines[1:], 2),  # no header line, so line 2 declares no grid
+        (lines[:-1] + ["3 3 settled 1"], 19),  # no final newline
+    ):
+        sidecar.write_text("".join(edited))
+        with pytest.raises(PnmError, match=f"^model sidecar line {ln}:"):
+            load_model(path)
+    with pytest.raises(PnmError, match=r"line 19: expected '3 3 settled 1\\n', got '3 3 settled 1'$"):
+        load_model(path)
+    sidecar.write_text(text.replace("# grid 4", "# grid 99999999999"))
+    with mock.patch.object(blockbg.background, "_sidecar_lines") as render:
+        with pytest.raises(PnmError, match="line 2: .*not a multiple of the grid 99999999999"):
+            load_model(path)
+    render.assert_not_called()

@@ -170,6 +170,10 @@ def test_scene_spec_validation():
     for sigma in (float("inf"), float("-inf")):
         with pytest.raises(SceneSpecError, match="finite"):
             SceneSpec(width=32, height=32, frame_count=4, noise_sigma=sigma)
+    for seed in (2**64, -1):  # seed=2**64 would render the frames of seed=0
+        with pytest.raises(SceneSpecError, match=r"seed must be in \[0, 2\*\*64\)"):
+            SceneSpec(width=32, height=32, frame_count=4, seed=seed)
+    assert SceneSpec(width=32, height=32, frame_count=4, seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(SceneSpecError):
         Mover(0, 0, 0, 4, 200, 1, 0)
     with pytest.raises(SceneSpecError):
@@ -503,6 +507,9 @@ def test_scene_file_errors_name_the_line(tmp_path):
             parse_scene_file(path)
     path.write_text("width=32\nheight=32\nframes=4\nsigma=inf\n")
     with pytest.raises(SceneSpecError, match="finite"):
+        parse_scene_file(path)
+    path.write_text("width=32\nheight=32\nframes=4\nseed=18446744073709551616\n")
+    with pytest.raises(SceneSpecError, match="seed must be in"):
         parse_scene_file(path)
 
 

@@ -104,6 +104,9 @@ def test_absdiff_hand_example():
 def test_absdiff_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         score(np.zeros((2, 2)), np.zeros((2, 3)), ABSDIFF)
+    for shape in ((0, 2), (2, 0), (4,)):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            score(np.zeros(shape), np.zeros(shape), ABSDIFF)
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
@@ -248,6 +251,9 @@ def test_zigzag_2x2_order():
 def test_zigzag_first_entry_is_dc():
     for h, w in ((3, 4), (4, 3), (1, 1), (1, 5), (5, 1)):
         assert zigzag_indices(h, w)[0] == (0, 0)
+    for h, w in ((0, 4), (4, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="positive dimensions"):
+            zigzag_indices(h, w)
 
 
 def test_zigzag_4x4_first_six_cells():

@@ -11,12 +11,14 @@ from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import blockbg.cli
 import blockbg.pipeline
 from blockbg.bench import Mover, SceneSpec, bench_methods, evaluate, gen_scene, truth_boxes_for
 from blockbg.cli import main
 from blockbg.comparators import Method, default_config
+from blockbg.errors import SequenceTooShort
 from blockbg.foreground import DetectedObject, frame_to_mask
 from blockbg.imaging import Frame, load_frame
 from blockbg.pipeline import PipelineParams, build_model, detect_stream
@@ -112,6 +114,33 @@ def test_a_failed_inline_build_creates_no_out_dir(tmp_path, capsys):
     ])
     assert code == 1 and "frame 1 is 32x32" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_build_model_names_what_too_few_frames_lack():
+    frame = Frame(texture(65, 32, 32))
+    cfg = default_config(Method.ABSDIFF)
+    for frames, params, named in (
+        ([], PipelineParams(grid=8), "no frames to resolve a grid from"),
+        ([frame], PipelineParams(), "grid auto-selection needs at least 2 frames"),
+        ([frame], PipelineParams(grid=8), "need at least 2 frames to build, got 1"),
+    ):
+        with pytest.raises(SequenceTooShort, match=named):
+            build_model(frames, params, cfg)
+
+
+def test_detect_stream_checks_its_rebuild_arguments_before_the_first_frame():
+    frames = [Frame(texture(66, 32, 32))] * 3
+    params, cfg = PipelineParams(grid=8), default_config(Method.ABSDIFF)
+    model = build_model(frames, params, cfg)
+    for rebuild_cfg, every, named in (
+        (None, 2, "rebuilding needs a comparator config"),
+        (cfg, -1, "rebuild_every must be >= 0, got -1"),
+    ):
+        pending = iter(frames)
+        with pytest.raises(ValueError, match=named):
+            next(detect_stream(model, pending, params, rebuild_cfg, rebuild_every=every))
+        assert len(list(pending)) == 3  # no frame was read
+    assert len(list(detect_stream(model, frames, params))) == 3  # no rebuilds, no cfg needed
 
 
 def load_tracing():

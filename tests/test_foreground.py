@@ -206,6 +206,9 @@ def test_median_rejects_bad_windows():
     for bad in (0, 1, 2, 4):
         with pytest.raises(ValueError):
             median_filter_mask(bits, window=bad)
+    for bad in (np.zeros((0, 4), dtype=np.uint8), np.zeros(4, dtype=np.uint8)):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            median_filter_mask(bad)
 
 
 def test_median_rejects_values_other_than_0_and_1():
@@ -323,6 +326,8 @@ def test_components_apply_min_area():
     assert len(objs) == 1 and objs[0].area == 16
     with pytest.raises(ValueError):
         connected_components(ForegroundMask(bits), min_area=-1)
+    with pytest.raises(ValueError, match="min_area must be >= 0, got nan"):  # NaN would drop every component
+        connected_components(ForegroundMask(bits), min_area=float("nan"))
 
 
 def test_components_sorted_by_row_then_column():
