@@ -25,8 +25,8 @@ import numpy as np
 
 from .blocks import BlockGrid, block_view, make_grid
 from .comparators import ComparatorConfig, score_blocks
-from .errors import InconsistentSequence, PnmError, SequenceTooShort
-from .imaging import Frame, load_frame, save_frame
+from .errors import PnmError, SequenceTooShort
+from .imaging import Frame, check_size, load_frame, save_frame
 
 CELL_UNSETTLED = -1
 CELL_BACKFILLED = -2
@@ -96,17 +96,8 @@ def build_srbi(
         frame = next(stream, None)
         if frame is None:
             break
-        w, h = first.width, first.height  # frame 0 is checked once it has a pair
-        if consumed == 1 and (w < grid.cropped_width or h < grid.cropped_height):
-            raise InconsistentSequence(
-                0, f"frame 0 is {w}x{h}, smaller than the grid extent"
-            )
-        if (frame.width, frame.height) != (w, h):
-            raise InconsistentSequence(
-                consumed,
-                f"frame {consumed} is {frame.width}x{frame.height}, expected {w}x{h}",
-            )
-        blocks_a = block_view(prev, grid)
+        blocks_a = block_view(prev, grid)  # frame 0 is cropped once it has a pair
+        check_size(frame, (first.width, first.height), consumed)
         blocks_b = block_view(frame, grid)
         if len(scores) < consumed:
             scores.append(np.full((g, g), np.nan))
@@ -133,14 +124,9 @@ def backfill(model: BackgroundModel, fallback: Frame) -> BackgroundModel:
     """Fill unsettled cells from ``fallback``, marking them CELL_BACKFILLED.
 
     Returns a new model; settled cells and their provenance are untouched.
+    ``fallback`` must cover the grid (see ``blocks.crop``).
     """
     grid = model.grid
-    if fallback.width < grid.cropped_width or fallback.height < grid.cropped_height:
-        raise InconsistentSequence(
-            0,
-            f"fallback frame is {fallback.width}x{fallback.height}, "
-            "smaller than the grid extent",
-        )
     pixels = model.pixels.copy()
     status = model.cell_status.copy()
     unsettled = status == CELL_UNSETTLED

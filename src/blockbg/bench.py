@@ -339,16 +339,6 @@ def truth_boxes_for(
     return out
 
 
-def frames_to_reach(model_status: np.ndarray, fraction: float, g: int) -> int:
-    """Frames needed until ``fraction`` of cells had settled, from settle
-    indices; -1 when never reached."""
-    settled = np.sort(model_status[model_status >= 0])
-    need = int(np.ceil(fraction * g * g))
-    if len(settled) < need or need == 0:
-        return -1
-    return int(settled[need - 1]) + 1
-
-
 def bench_methods(
     spec: SceneSpec,
     params: PipelineParams | None = None,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameTooSmall, InconsistentSequence
-from .imaging import Frame
+from .errors import FrameTooSmall, ShapeMismatch
+from .imaging import Frame, check_size
 
 GRID_CHOICES = (8, 16, 32)
 
@@ -64,12 +64,7 @@ def grid_for_delta(delta_h: float, low: float = DELTA_H_LOW, high: float = DELTA
 
 def select_grid(first: Frame, second: Frame, low: float = DELTA_H_LOW, high: float = DELTA_H_HIGH) -> int:
     """Pick g from |H(first) - H(second)| using the banded thresholds."""
-    if (first.width, first.height) != (second.width, second.height):
-        raise InconsistentSequence(
-            1,
-            f"frame 1 is {second.width}x{second.height}, "
-            f"expected {first.width}x{first.height}",
-        )
+    check_size(second, (first.width, first.height), 1)
     delta = abs(entropy_of(first) - entropy_of(second))
     return grid_for_delta(delta, low, high)
 
@@ -109,9 +104,21 @@ def make_grid(width: int, height: int, g: int) -> BlockGrid:
     )
 
 
+def crop(frame_or_pixels, grid: BlockGrid) -> np.ndarray:
+    """View of the grid's cropped extent, the top-left cropped_height x
+    cropped_width pixels; ShapeMismatch if the region does not cover it."""
+    px = _region(frame_or_pixels)
+    h, w = px.shape
+    if h < grid.cropped_height or w < grid.cropped_width:
+        raise ShapeMismatch(
+            f"frame is {w}x{h}, smaller than the grid extent {grid.cropped_width}x{grid.cropped_height}"
+        )
+    return px[: grid.cropped_height, : grid.cropped_width]
+
+
 def block_view(frame_or_pixels, grid: BlockGrid) -> np.ndarray:
-    """(g, g, block_height, block_width) view of the grid's blocks over the
-    cropped extent; ``[row, col]`` is one block. Writes go to the source."""
-    px = _region(frame_or_pixels)[: grid.cropped_height, : grid.cropped_width]
+    """(g, g, block_height, block_width) view of the grid's blocks over
+    ``crop``; ``[row, col]`` is one block. Writes go to the source."""
+    px = crop(frame_or_pixels, grid)
     g = grid.g
     return px.reshape(g, grid.block_height, g, grid.block_width).swapaxes(1, 2)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import CELL_UNSETTLED, BackgroundModel
-from .errors import ModelIncomplete, PnmError, ShapeMismatch
+from .blocks import crop
+from .errors import ModelIncomplete, PnmError
 from .imaging import Frame
 
 DEFAULT_SUBTRACT_SHIFT = 6
@@ -66,7 +67,8 @@ def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT
     change[p] = 1 iff (model[p] XOR frame[p]) > 2**shift - 1, that is, iff
     the two differ in a bit at or above ``shift``: their buckets differ.
     Returns a fresh uint8 0/1 array. The model must be fully covered
-    (settled or backfilled everywhere).
+    (settled or backfilled everywhere), and the frame is cropped to the
+    model's grid with ``blocks.crop``.
     """
     if not 0 <= shift <= 7:
         raise ValueError(f"subtract shift must be in [0, 7], got {shift}")
@@ -74,12 +76,7 @@ def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT
         raise ModelIncomplete(
             "model has unsettled cells; backfill before subtracting"
         )
-    ch, cw = model.pixels.shape
-    if frame.height < ch or frame.width < cw:
-        raise ShapeMismatch(
-            f"frame {frame.width}x{frame.height} smaller than model extent {cw}x{ch}"
-        )
-    change = model.pixels ^ frame.pixels[:ch, :cw]
+    change = model.pixels ^ crop(frame, model.grid)
     np.greater(change, (1 << shift) - 1, out=change.view(bool))  # in place, 0/1 bytes
     return change
 

@@ -75,6 +75,17 @@ class Frame:
         return np.array_equal(self.pixels, other.pixels)
 
 
+def check_size(frame: Frame, size: tuple[int, int], index: int, where: str = "") -> None:
+    """Raise InconsistentSequence unless ``frame`` is ``size`` (width, height),
+    the size of frame 0 of its sequence; the message names frame ``index``
+    and starts with ``where``, if given."""
+    if (frame.width, frame.height) != size:
+        prefix = f"{where}: " if where else ""
+        raise InconsistentSequence(
+            index, f"{prefix}frame {index} is {frame.width}x{frame.height}, expected {size[0]}x{size[1]}"
+        )
+
+
 _FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*([^\s#]*)")  # separators, then one header field
 
 
@@ -102,10 +113,6 @@ def _read_header(data: bytes):
     width, height, maxval = fields
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval}: only 255 is accepted")
-    if width < MIN_DIM or height < MIN_DIM:
-        raise FrameTooSmall(
-            f"image is {width}x{height}; minimum supported dimension is {MIN_DIM}"
-        )
     return magic, width, height, pos + 1
 
 
@@ -140,33 +147,36 @@ def save_frame(frame: Frame, path) -> None:
         fh.write(frame.pixels)
 
 
-def _pattern_regex(pattern: str) -> re.Pattern:
-    """Turn a printf-style file pattern (one %d / %0Nd field) into a regex."""
-    m = re.search(r"%(0?)(\d*)d", pattern)
+def _pattern_regex(pattern: str) -> tuple[re.Pattern, str]:
+    """Split a printf-style file pattern (one %d / %0Nd field) into a regex
+    whose group 1 is the field's text, and the field itself."""
+    m = re.search(r"%0?\d*d", pattern)
     if m is None:
         raise ValueError(f"pattern {pattern!r} has no %d field")
     prefix = re.escape(pattern[: m.start()])
     suffix = re.escape(pattern[m.end() :])
-    return re.compile(f"^{prefix}(\\d+){suffix}$")
+    return re.compile(f"^{prefix}( *\\d+){suffix}$"), m[0]
 
 
 def load_sequence(
     directory, pattern: str = DEFAULT_PATTERN, min_frames: int = 2
 ) -> Iterator[Frame]:
-    """Frames in ``directory`` matching ``pattern``, in ascending index.
+    """Frames in ``directory`` named by ``pattern``, in ascending index.
 
-    The files are listed up front, so a sequence of fewer than
+    A file belongs to the sequence only if its name is ``pattern`` with its
+    index filled in: with ``%06d.pgm``, ``1.pgm`` and ``0000002.pgm`` are
+    not frames. The files are listed up front, so a sequence of fewer than
     ``min_frames`` files (default two) raises before anything is decoded.
     The returned iterator decodes each frame only when it is reached; a
     frame that cannot be read, or whose dimensions differ from the first
     frame's, raises there, naming its file.
     """
-    rx = _pattern_regex(pattern)
+    rx, field = _pattern_regex(pattern)
     found = []
     for entry in Path(directory).iterdir():
         m = rx.match(entry.name)
-        if m:
-            found.append((int(m.group(1)), entry))
+        if m and m[1] == field % int(m[1]):
+            found.append((int(m[1]), entry))
     found.sort()
     if len(found) < min_frames:
         raise SequenceTooShort(
@@ -177,19 +187,14 @@ def load_sequence(
 
 
 def _decode(found: list[tuple[int, Path]]) -> Iterator[Frame]:
-    first_dims = None
+    size = None
     for index, entry in found:
         try:
             frame = load_frame(entry)
         except (PnmError, FrameTooSmall) as exc:
             raise type(exc)(f"{entry}: {exc}") from exc
-        first_dims = first_dims or (frame.width, frame.height)
-        if (frame.width, frame.height) != first_dims:
-            raise InconsistentSequence(
-                index,
-                f"{entry}: frame {index} is {frame.width}x{frame.height}, "
-                f"expected {first_dims[0]}x{first_dims[1]}",
-            )
+        size = size or (frame.width, frame.height)
+        check_size(frame, size, index, str(entry))
         yield frame
 
 

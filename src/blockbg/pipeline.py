@@ -137,12 +137,14 @@ def detect_stream(
     ``update_srbi`` rebuilds the model with ``cfg`` before every Nth frame
     from the last ``max_frames`` frames, the only ones held besides the
     current one, reusing their pair scores in ``scores`` (at first the build's).
-    A negative ``rebuild_every``, or a positive one without ``cfg``, raises
-    ValueError before any frame is read."""
+    A negative ``rebuild_every``, or a positive one without ``cfg`` or with
+    ``max_frames`` < 2, raises ValueError before any frame is read."""
     if rebuild_every < 0:
         raise ValueError(f"rebuild_every must be >= 0, got {rebuild_every}")
     if rebuild_every and cfg is None:
         raise ValueError("rebuilding needs a comparator config")
+    if rebuild_every and max_frames < 2:
+        raise ValueError(f"rebuilding needs max_frames >= 2, got {max_frames}")
     recent = deque(maxlen=max_frames if rebuild_every else 0)
     for i, frame in enumerate(frames):
         if len(recent) >= 2 and i % rebuild_every == 0:

@@ -27,3 +27,13 @@ def write_frames(directory, arrays, pattern: str = "%06d.pgm", start: int = 0):
         save_frame(frame_of(arr), path)
         paths.append(path)
     return paths
+
+
+def frames_to_reach(model_status: np.ndarray, fraction: float, g: int) -> int:
+    """Frames needed until ``fraction`` of cells had settled, from settle
+    indices; -1 when never reached."""
+    settled = np.sort(model_status[model_status >= 0])
+    need = int(np.ceil(fraction * g * g))
+    if len(settled) < need or need == 0:
+        return -1
+    return int(settled[need - 1]) + 1

@@ -21,7 +21,6 @@ from blockbg.bench import (
     Mover,
     SceneSpec,
     bench_methods,
-    frames_to_reach,
     gen_scene,
     reference_scene,
     write_scene_file,
@@ -36,6 +35,8 @@ from blockbg.foreground import (
 )
 from blockbg.imaging import save_frame, Frame
 from blockbg.pipeline import PipelineParams, resolve_grid, run_detection
+
+from helpers import frames_to_reach
 
 
 @pytest.fixture(scope="module")

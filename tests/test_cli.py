@@ -758,7 +758,7 @@ def test_incompatible_model_exits_one(tmp_path, capsys):
         "--out-dir", str(out_dir),
     )
     assert code == 1
-    assert "model extent" in stderr
+    assert "frame is 32x32, smaller than the grid extent 64x64" in stderr
 
 
 # --- the CLI's process ---

@@ -140,6 +140,11 @@ def test_detect_stream_checks_its_rebuild_arguments_before_the_first_frame():
         with pytest.raises(ValueError, match=named):
             next(detect_stream(model, pending, params, rebuild_cfg, rebuild_every=every))
         assert len(list(pending)) == 3  # no frame was read
+    for max_frames in (1, 0):  # a window of fewer than 2 frames can never rebuild
+        pending = iter(frames)
+        with pytest.raises(ValueError, match=f"rebuilding needs max_frames >= 2, got {max_frames}"):
+            next(detect_stream(model, pending, params, cfg, max_frames=max_frames, rebuild_every=2))
+        assert len(list(pending)) == 3  # no frame was read
     assert len(list(detect_stream(model, frames, params))) == 3  # no rebuilds, no cfg needed
 
 

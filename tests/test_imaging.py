@@ -239,6 +239,17 @@ def test_sequence_dimension_mismatch_names_the_index(tmp_path):
     assert exc_info.value.index == 2
 
 
+def test_sequence_reads_only_the_names_its_pattern_renders(tmp_path):
+    write_frames(tmp_path, [np.full((16, 16), v, dtype=np.uint8) for v in (10, 20)])
+    for name, value in (("1.pgm", 30), ("0000002.pgm", 40), ("00000a.pgm", 50)):
+        save_frame(frame_of(np.full((16, 16), value, dtype=np.uint8)), tmp_path / name)
+    assert [int(f.pixels[0, 0]) for f in load_sequence(tmp_path)] == [10, 20]
+    # %d has no padding and %3d pads with spaces, as printf renders them
+    assert [int(f.pixels[0, 0]) for f in load_sequence(tmp_path, "%d.pgm", min_frames=1)] == [30]
+    save_frame(frame_of(np.full((16, 16), 60, dtype=np.uint8)), tmp_path / "  7.pgm")
+    assert [int(f.pixels[0, 0]) for f in load_sequence(tmp_path, "%3d.pgm", min_frames=1)] == [60]
+
+
 def test_sequence_custom_pattern(tmp_path):
     write_frames(tmp_path, [texture(11, 16, 16), texture(12, 16, 16)], pattern="img_%03d.pgm")
     assert len(list(load_sequence(tmp_path, "img_%03d.pgm"))) == 2
