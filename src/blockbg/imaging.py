@@ -7,11 +7,13 @@ loads are bit-reproducible everywhere. Compressed containers are out of
 scope: every save/load round trip must be exact.
 
 Frame pixel buffers are frozen at construction, so frames can be shared
-freely between threads.
+freely between threads. ``Frame(pixels)`` copies the caller's array;
+``load_frame`` decodes straight into the buffer its Frame keeps.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -47,7 +49,7 @@ class Frame:
 
     pixels: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         arr = np.asarray(self.pixels)
         if arr.ndim != 2:
             raise ValueError("frame pixels must be a 2-D array")
@@ -56,10 +58,20 @@ class Frame:
             raise FrameTooSmall(
                 f"frame is {w}x{h}; minimum supported dimension is {MIN_DIM}"
             )
-        check_intensities(arr, "frame")
-        arr = arr.astype(np.uint8, order="C")  # always a row-major copy, so the caller's array can change
+        if copy:
+            check_intensities(arr, "frame")
+            arr = arr.astype(np.uint8, order="C")  # always a row-major copy, so the caller's array can change
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> Frame:
+        """A Frame that keeps ``arr`` uncopied and read-only: only for a 2-D
+        uint8 C-contiguous array its caller has just made and no one else holds."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "pixels", arr)
+        frame.__post_init__(copy=False)
+        return frame
 
     @property
     def width(self) -> int:
@@ -89,15 +101,15 @@ def check_size(frame: Frame, size: tuple[int, int], index: int, where: str = "")
 _FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*([^\s#]*)")  # separators, then one header field
 
 
-def _read_header(data: bytes):
+def _read_header(data: np.ndarray):
     """Parse a P5/P6 header; returns (magic, width, height, payload offset).
 
     Whitespace-separated fields with ``#`` comments running to end of line,
     exactly one whitespace byte after the maxval, payload after that.
     """
-    if data[:2] not in (b"P5", b"P6"):
+    magic = bytes(data[:2])
+    if magic not in (b"P5", b"P6"):
         raise PnmError("malformed header: not a binary PGM/PPM (P5/P6) file")
-    magic = data[:2].decode("ascii")
     fields, pos = [], 2
     for _ in range(3):
         m = _FIELD.match(data, pos)
@@ -108,21 +120,27 @@ def _read_header(data: bytes):
             fields.append(int(token))
         except ValueError:  # past the interpreter's limit on digits
             raise PnmError(f"malformed header: header field of {len(token)} digits is too long") from None
-    if not data[pos : pos + 1].isspace():
+    if not bytes(data[pos : pos + 1]).isspace():
         raise PnmError("malformed header: missing whitespace before payload")
     width, height, maxval = fields
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval}: only 255 is accepted")
-    return magic, width, height, pos + 1
+    return magic.decode("ascii"), width, height, pos + 1
 
 
 def load_frame(path) -> Frame:
     """Load a binary PGM (P5) or PPM (P6) file as a grayscale Frame.
 
-    PPM pixels are reduced with the integer luma weighting
+    The file is read once, into a buffer sized from its length; a PGM
+    Frame keeps the payload as a view of that buffer. PPM pixels are
+    reduced with the integer luma weighting
     ``(77*R + 150*G + 29*B + 128) >> 8``.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+        data = data[: fh.readinto(data)]
+        if not data.size:  # a pipe, or another file with no length
+            data = np.frombuffer(fh.read(), np.uint8)
     magic, width, height, pos = _read_header(data)
     channels = 1 if magic == "P5" else 3
     need = width * height * channels
@@ -130,14 +148,12 @@ def load_frame(path) -> Frame:
         raise PnmError(
             f"truncated payload: expected {need} bytes, found {len(data) - pos}"
         )
-    raw = np.frombuffer(data, np.uint8, need, offset=pos)  # a view; Frame copies it
+    raw = data[pos : pos + need]
     if channels == 1:
-        px = raw.reshape(height, width)
-    else:
-        rgb = raw.reshape(height, width, 3).astype(np.uint32)
-        px = (77 * rgb[:, :, 0] + 150 * rgb[:, :, 1] + 29 * rgb[:, :, 2] + 128) >> 8
-        px = px.astype(np.uint8)
-    return Frame(px)
+        return Frame._adopt(raw.reshape(height, width))
+    rgb = raw.reshape(height, width, 3).astype(np.uint32)
+    px = (77 * rgb[:, :, 0] + 150 * rgb[:, :, 1] + 29 * rgb[:, :, 2] + 128) >> 8
+    return Frame._adopt(px.astype(np.uint8))
 
 
 def save_frame(frame: Frame, path) -> None:
@@ -149,13 +165,13 @@ def save_frame(frame: Frame, path) -> None:
 
 def _pattern_regex(pattern: str) -> tuple[re.Pattern, str]:
     """Split a printf-style file pattern (one %d / %0Nd field) into a regex
-    whose group 1 is the field's text, and the field itself."""
-    m = re.search(r"%0?\d*d", pattern)
+    whose group 1 is the field's text, and the field itself. As in printf,
+    ``%%`` stands for one ``%`` and never starts the field."""
+    m = re.match(r"((?:[^%]|%%|%(?!%|0?\d*d))*)(%0?\d*d)", pattern)
     if m is None:
         raise ValueError(f"pattern {pattern!r} has no %d field")
-    prefix = re.escape(pattern[: m.start()])
-    suffix = re.escape(pattern[m.end() :])
-    return re.compile(f"^{prefix}( *\\d+){suffix}$"), m[0]
+    prefix, suffix = (re.escape(text.replace("%%", "%")) for text in (m[1], pattern[m.end() :]))
+    return re.compile(f"^{prefix}( *\\d+){suffix}$"), m[2]
 
 
 def load_sequence(
@@ -220,5 +236,5 @@ def prefilter(frame: Frame, kind: str = PREFILTERS[0]) -> Frame:
     if kind == "none":
         return frame
     if kind == "median3":
-        return Frame(_median3(frame.pixels))
+        return Frame._adopt(_median3(frame.pixels))
     raise ValueError(f"unknown prefilter {kind!r}: expected 'none' or 'median3'")

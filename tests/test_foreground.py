@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from blockbg.background import backfill, build_srbi
+from blockbg.background import BackgroundModel, backfill, build_srbi, save_model
 from blockbg.blocks import make_grid
 from blockbg.comparators import Method, default_config
 from blockbg.errors import ModelIncomplete, PnmError, ShapeMismatch
@@ -20,6 +20,7 @@ from blockbg.foreground import (
     median_filter_mask,
     subtract,
 )
+from blockbg.imaging import load_frame, prefilter, save_frame
 
 from helpers import frame_of, texture
 
@@ -492,3 +493,36 @@ def test_frame_to_mask_names_the_bad_pixel():
         frame_to_mask(frame_of(px))
     assert "(3, 2)" in str(err.value)
     assert "7" in str(err.value)
+
+
+def test_made_buffers_are_read_only_and_share_no_caller_memory(tmp_path):
+    # Frames and masks that keep the array their function made, uncopied.
+    px = texture(47, 32, 48, lo=0, hi=256)
+    save_frame(frame_of(px), tmp_path / "f.pgm")
+    rgb = np.stack([px, px[::-1], 255 - px], axis=2)
+    (tmp_path / "f.ppm").write_bytes(b"P6\n48 32\n255\n" + rgb.tobytes())
+    frame = frame_of(px)
+    model = model_of(texture(48, 32, 48, lo=0, hi=256))
+    mask = make_mask(model, frame)
+    fortran_mask = ForegroundMask(np.asfortranarray(mask.bits))  # a copy, row-major
+    callers = [px, rgb, frame.pixels, model.pixels, mask.bits, fortran_mask.bits]
+    made = {
+        "load_frame P5": load_frame(tmp_path / "f.pgm").pixels,
+        "load_frame P6": load_frame(tmp_path / "f.ppm").pixels,
+        "prefilter median3": prefilter(frame, "median3").pixels,
+        "make_mask": mask.bits,
+        "mask_to_frame": mask_to_frame(fortran_mask).pixels,
+        "frame_to_mask": frame_to_mask(mask_to_frame(mask)).bits,
+    }
+    for name, arr in made.items():
+        assert arr.dtype == np.uint8 and arr.flags.c_contiguous, name
+        assert not arr.flags.writeable, name
+        assert not any(np.shares_memory(arr, theirs) for theirs in callers if theirs is not arr), name
+    save_frame(mask_to_frame(fortran_mask), tmp_path / "m.pgm")
+    assert frame_to_mask(load_frame(tmp_path / "m.pgm")) == mask
+    # save_model copies the caller's model pixels rather than freeze them
+    pixels = px.copy()
+    save_model(BackgroundModel(model.grid, pixels, model.cell_status, (0, 2)), tmp_path / "model.pgm")
+    assert pixels.flags.writeable
+    pixels[0, 0] ^= 0xFF
+    assert load_frame(tmp_path / "model.pgm") == frame

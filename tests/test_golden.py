@@ -5,7 +5,9 @@ run through ``model --max-frames 8``, ``detect --model`` (on the saved model),
 ``detect --model-frames 10 --rebuild-every 5`` and ``bench``. The SHA-256
 of every file those commands write must equal the digest recorded in
 ``tests/golden/digests.json``. A change that moves a digest changes
-behaviour and must say why; re-record with
+behaviour and must say why. Every DCT score of a build over each scene
+must also keep 1e-12 of its threshold's size clear of it, so the golden
+verdicts do not hang on the BLAS kernel's last bits. Re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,10 +18,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from blockbg.background import build_srbi
 from blockbg.bench import gen_scene, parse_scene_file
+from blockbg.blocks import GRID_CHOICES, make_grid
 from blockbg.cli import main
+from blockbg.comparators import Method, default_config
 from blockbg.imaging import save_frame
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,6 +67,22 @@ def test_outputs_match_recorded_digests(name, tmp_path, capsys):
     assert sorted(got) == sorted(want)
     changed = [k for k in want if got[k] != want[k]]
     assert not changed, f"{len(changed)} output(s) changed, first {changed[0]}"
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_dct_scores_keep_clear_of_the_threshold(name):
+    # A DCT score's last bits come from the BLAS kernel; the golden verdicts
+    # hold on every kernel only while no score sits on the threshold. The
+    # other scores are exact integer ratios, so their ties are kernel-free.
+    cfg = default_config(Method.DCT)
+    frames = gen_scene(parse_scene_file(GOLDEN / f"{name}.scene")).frames
+    for g in GRID_CHOICES:
+        scores = []
+        build_srbi(frames, make_grid(frames[0].width, frames[0].height, g), cfg, len(frames), scores)
+        scored = np.concatenate(scores, axis=None)
+        scored = scored[~np.isnan(scored)]
+        margin = np.min(np.abs(scored - cfg.threshold)) / cfg.threshold
+        assert margin >= 1e-12, (g, margin)
 
 
 if __name__ == "__main__":

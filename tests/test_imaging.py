@@ -1,5 +1,9 @@
 """Frame type, netpbm codec, sequence loading, median prefilter."""
 
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +133,35 @@ def test_ppm_luma_matches_formula(tmp_path):
     assert np.array_equal(f.pixels, want)
 
 
+def test_load_frame_copies_no_pixel(tmp_path):
+    # The file is read into the buffer the Frame keeps: one payload's worth
+    # of memory at the peak, not the file's bytes plus the Frame's copy.
+    path = tmp_path / "hd.pgm"
+    save_frame(frame_of(texture(5, 720, 1280, lo=0, hi=256)), path)
+    load_frame(path)  # warm
+    tracemalloc.start()
+    try:
+        frame = load_frame(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * frame.pixels.nbytes, peak / frame.pixels.nbytes
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_frame_reads_a_pipe(tmp_path):
+    px = texture(6, 16, 20)
+    path = tmp_path / "pipe.pgm"
+    os.mkfifo(path)
+    payload = b"P5\n20 16\n255\n" + px.tobytes()
+    writer = threading.Thread(target=path.write_bytes, args=(payload,), daemon=True)
+    writer.start()
+    frame = load_frame(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(frame.pixels, px)
+
+
 def test_header_comments_are_tolerated(tmp_path):
     px = texture(4, 16, 16)
     path = tmp_path / "c.pgm"
@@ -248,6 +281,10 @@ def test_sequence_reads_only_the_names_its_pattern_renders(tmp_path):
     assert [int(f.pixels[0, 0]) for f in load_sequence(tmp_path, "%d.pgm", min_frames=1)] == [30]
     save_frame(frame_of(np.full((16, 16), 60, dtype=np.uint8)), tmp_path / "  7.pgm")
     assert [int(f.pixels[0, 0]) for f in load_sequence(tmp_path, "%3d.pgm", min_frames=1)] == [60]
+    # %% is one % in the name, as printf renders it, and never the field
+    for pattern, value in (("a%%_%06d.pgm", 70), ("b%%d_%03d.pgm", 80)):
+        write_frames(tmp_path, [np.full((16, 16), value, dtype=np.uint8)] * 2, pattern=pattern)
+        assert [int(f.pixels[0, 0]) for f in load_sequence(tmp_path, pattern)] == [value] * 2
 
 
 def test_sequence_custom_pattern(tmp_path):
