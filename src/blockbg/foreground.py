@@ -37,25 +37,15 @@ class ForegroundMask:
 
     bits: np.ndarray
 
-    def __post_init__(self, copy: bool = True):
+    def __post_init__(self):
         arr = np.asarray(self.bits)
         if arr.ndim != 2:
             raise ValueError("mask bits must be a 2-D array")
-        if copy:
-            if arr.size:
-                _check_bits(arr)
-            arr = arr.astype(np.uint8, order="C")  # always a row-major copy
+        if arr.size:
+            _check_bits(arr)
+        arr = arr.astype(np.uint8, order="C")  # always a row-major copy
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
-
-    @classmethod
-    def _adopt(cls, bits: np.ndarray) -> ForegroundMask:
-        """A mask that keeps ``bits`` uncopied and read-only: only for a 2-D
-        uint8 C-contiguous 0/1 array its caller has just made and no one else holds."""
-        mask = object.__new__(cls)
-        object.__setattr__(mask, "bits", bits)
-        mask.__post_init__(copy=False)
-        return mask
 
     @property
     def width(self) -> int:
@@ -130,7 +120,7 @@ def make_mask(
     window: int = DEFAULT_WINDOW,
 ) -> ForegroundMask:
     """subtract + median cleanup in one step."""
-    return ForegroundMask._adopt(median_filter_mask(subtract(model, frame, shift), window))
+    return ForegroundMask(median_filter_mask(subtract(model, frame, shift), window))
 
 
 @dataclass(frozen=True)
@@ -247,4 +237,4 @@ def frame_to_mask(frame: Frame) -> ForegroundMask:
         raise PnmError(
             f"mask frame has non-binary intensity {int(px[y, x])} at ({int(x)}, {int(y)})"
         )
-    return ForegroundMask._adopt((px == 255).view(np.uint8))
+    return ForegroundMask((px == 255).astype(np.uint8))

@@ -7,13 +7,12 @@ loads are bit-reproducible everywhere. Compressed containers are out of
 scope: every save/load round trip must be exact.
 
 Frame pixel buffers are frozen at construction, so frames can be shared
-freely between threads. ``Frame(pixels)`` copies the caller's array;
-``load_frame`` decodes straight into the buffer its Frame keeps.
+freely between threads. ``Frame(pixels)`` copies the caller's array; a
+PGM Frame from ``load_frame`` keeps the bytes the file was read into.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -101,15 +100,15 @@ def check_size(frame: Frame, size: tuple[int, int], index: int, where: str = "")
 _FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*([^\s#]*)")  # separators, then one header field
 
 
-def _read_header(data: np.ndarray):
+def _read_header(data: bytes):
     """Parse a P5/P6 header; returns (magic, width, height, payload offset).
 
     Whitespace-separated fields with ``#`` comments running to end of line,
     exactly one whitespace byte after the maxval, payload after that.
     """
-    magic = bytes(data[:2])
-    if magic not in (b"P5", b"P6"):
+    if data[:2] not in (b"P5", b"P6"):
         raise PnmError("malformed header: not a binary PGM/PPM (P5/P6) file")
+    magic = data[:2].decode("ascii")
     fields, pos = [], 2
     for _ in range(3):
         m = _FIELD.match(data, pos)
@@ -120,27 +119,23 @@ def _read_header(data: np.ndarray):
             fields.append(int(token))
         except ValueError:  # past the interpreter's limit on digits
             raise PnmError(f"malformed header: header field of {len(token)} digits is too long") from None
-    if not bytes(data[pos : pos + 1]).isspace():
+    if not data[pos : pos + 1].isspace():
         raise PnmError("malformed header: missing whitespace before payload")
     width, height, maxval = fields
     if maxval != 255:
         raise PnmError(f"unsupported maxval {maxval}: only 255 is accepted")
-    return magic.decode("ascii"), width, height, pos + 1
+    return magic, width, height, pos + 1
 
 
 def load_frame(path) -> Frame:
     """Load a binary PGM (P5) or PPM (P6) file as a grayscale Frame.
 
-    The file is read once, into a buffer sized from its length; a PGM
-    Frame keeps the payload as a view of that buffer. PPM pixels are
-    reduced with the integer luma weighting
+    The file is read once; a PGM Frame keeps its payload as a view of the
+    bytes read, unless the file holds more than the payload. PPM pixels
+    are reduced with the integer luma weighting
     ``(77*R + 150*G + 29*B + 128) >> 8``.
     """
-    with open(path, "rb") as fh:
-        data = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
-        data = data[: fh.readinto(data)]
-        if not data.size:  # a pipe, or another file with no length
-            data = np.frombuffer(fh.read(), np.uint8)
+    data = Path(path).read_bytes()
     magic, width, height, pos = _read_header(data)
     channels = 1 if magic == "P5" else 3
     need = width * height * channels
@@ -148,12 +143,14 @@ def load_frame(path) -> Frame:
         raise PnmError(
             f"truncated payload: expected {need} bytes, found {len(data) - pos}"
         )
-    raw = data[pos : pos + need]
-    if channels == 1:
-        return Frame._adopt(raw.reshape(height, width))
-    rgb = raw.reshape(height, width, 3).astype(np.uint32)
-    px = (77 * rgb[:, :, 0] + 150 * rgb[:, :, 1] + 29 * rgb[:, :, 2] + 128) >> 8
-    return Frame._adopt(px.astype(np.uint8))
+    raw = np.frombuffer(data, np.uint8, need, offset=pos)  # a read-only view
+    if channels == 3:
+        rgb = raw.reshape(height, width, 3).astype(np.uint32)
+        px = (77 * rgb[:, :, 0] + 150 * rgb[:, :, 1] + 29 * rgb[:, :, 2] + 128) >> 8
+        return Frame._adopt(px.astype(np.uint8))
+    if pos + need < len(data):  # copy the payload rather than keep trailing bytes alive
+        return Frame(raw.reshape(height, width))
+    return Frame._adopt(raw.reshape(height, width))
 
 
 def save_frame(frame: Frame, path) -> None:

@@ -496,7 +496,8 @@ def test_frame_to_mask_names_the_bad_pixel():
 
 
 def test_made_buffers_are_read_only_and_share_no_caller_memory(tmp_path):
-    # Frames and masks that keep the array their function made, uncopied.
+    # Frames and masks the package makes: some keep the array their function
+    # made, uncopied, so none may be writable or alias an array passed in.
     px = texture(47, 32, 48, lo=0, hi=256)
     save_frame(frame_of(px), tmp_path / "f.pgm")
     rgb = np.stack([px, px[::-1], 255 - px], axis=2)
