@@ -37,15 +37,25 @@ class ForegroundMask:
 
     bits: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         arr = np.asarray(self.bits)
         if arr.ndim != 2:
             raise ValueError("mask bits must be a 2-D array")
-        if arr.size:
-            _check_bits(arr)
-        arr = arr.astype(np.uint8, order="C")  # always a row-major copy
+        if copy:
+            if arr.size:
+                _check_bits(arr)
+            arr = arr.astype(np.uint8, order="C")  # always a row-major copy
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
+
+    @classmethod
+    def _adopt(cls, bits: np.ndarray) -> ForegroundMask:
+        """A mask that keeps ``bits`` uncopied and read-only: only for a 2-D uint8
+        0/1 C-contiguous array its caller has just made and no one else holds."""
+        mask = object.__new__(cls)
+        object.__setattr__(mask, "bits", bits)
+        mask.__post_init__(copy=False)
+        return mask
 
     @property
     def width(self) -> int:
@@ -82,12 +92,18 @@ def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT
 
 
 def _window_sum(a: np.ndarray, r: int, axis: int) -> np.ndarray:
-    """One pass of a separable window count: ``a`` summed over -r..r along ``axis``."""
+    """One pass of a separable window count: ``a`` summed over -r..r along
+    axis 0, or along the rows of a 2-D ``a`` (axis 1). Rows shift as one flat
+    array, faster than column slices, and then give back what crossed a row
+    end: unsigned counts wrap and unwrap exactly."""
     out = a.copy()
-    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
-    for d in range(1, r + 1):  # slices past the edge are empty
+    src, dst = (a, out) if axis == 0 else (a.ravel(), out.ravel())
+    for d in range(1, min(r, a.shape[axis] - 1) + 1):  # only shifts that reach a neighbour
         dst[d:] += src[:-d]
         dst[:-d] += src[d:]
+        if axis:
+            out[1:, :d] -= a[:-1, -d:]
+            out[:-1, -d:] -= a[1:, :d]
     return out
 
 
@@ -120,7 +136,7 @@ def make_mask(
     window: int = DEFAULT_WINDOW,
 ) -> ForegroundMask:
     """subtract + median cleanup in one step."""
-    return ForegroundMask(median_filter_mask(subtract(model, frame, shift), window))
+    return ForegroundMask._adopt(median_filter_mask(subtract(model, frame, shift), window))
 
 
 @dataclass(frozen=True)
@@ -145,6 +161,10 @@ class DetectedObject:
     @property
     def bbox(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.w, self.h)
+
+    def labeled(self, label: str, score: float) -> DetectedObject:
+        """This object with ``label`` and ``score`` set; as ``dataclasses.replace``, but quicker."""
+        return DetectedObject(self.x, self.y, self.w, self.h, self.area, self.centroid_x, self.centroid_y, label, score)
 
 
 def connected_components(mask: ForegroundMask, min_area: float = 0.0) -> list[DetectedObject]:
@@ -186,7 +206,7 @@ def connected_components(mask: ForegroundMask, min_area: float = 0.0) -> list[De
         split = ra != rb
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while not np.array_equal(up := parent[parent], parent):
+        while ((up := parent[parent]) != parent).any():
             parent = up
 
     first = np.flatnonzero(parent == np.arange(n))
@@ -209,18 +229,10 @@ def connected_components(mask: ForegroundMask, min_area: float = 0.0) -> list[De
 
     keep = np.flatnonzero(area >= min_area)
     keep = keep[np.lexsort((min_x[keep], min_y[keep]))]  # stable: ties stay in label order
-    return [
-        DetectedObject(
-            x=int(min_x[k]),
-            y=int(min_y[k]),
-            w=int(end_x[k] - min_x[k]),
-            h=int(max_y[k] - min_y[k] + 1),
-            area=int(area[k]),
-            centroid_x=float(sum_x[k] / area[k]),
-            centroid_y=float(sum_y[k] / area[k]),
-        )
-        for k in keep
-    ]
+    left, top, n_px = min_x[keep], min_y[keep], area[keep]
+    columns = (left, top, end_x[keep] - left, max_y[keep] - top + 1, n_px.astype(np.int64),
+               sum_x[keep] / n_px, sum_y[keep] / n_px)  # x, y, w, h, area, centroid
+    return [DetectedObject(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def mask_to_frame(mask: ForegroundMask) -> Frame:
@@ -231,10 +243,12 @@ def mask_to_frame(mask: ForegroundMask) -> Frame:
 def frame_to_mask(frame: Frame) -> ForegroundMask:
     """Decode a mask frame; only intensities 0 and 255 are legal."""
     px = frame.pixels
-    bad = (px != 0) & (px != 255)
+    bits = px == 255
+    bad = px != 0
+    bad ^= bits  # neither 0 nor 255
     if bad.any():
         y, x = np.argwhere(bad)[0]
         raise PnmError(
             f"mask frame has non-binary intensity {int(px[y, x])} at ({int(x)}, {int(y)})"
         )
-    return ForegroundMask((px == 255).astype(np.uint8))
+    return ForegroundMask._adopt(bits.view(np.uint8))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from .background import DEFAULT_MAX_FRAMES, BackgroundModel, backfill, build_srbi, coverage, update_srbi
@@ -93,7 +93,7 @@ def detect_frame(
     if params.validate:
         objects = classify_all(objects, cropped_area, params.heuristic)
     else:
-        objects = [replace(o, label=VEHICLE, score=1.0) for o in objects]
+        objects = [o.labeled(VEHICLE, 1.0) for o in objects]
     return mask, objects
 
 

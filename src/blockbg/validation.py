@@ -9,7 +9,7 @@ and ramp linearly to 0 at its edge over a 10% (relative) margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .foreground import DetectedObject
 
@@ -49,7 +49,7 @@ def _edge_ramp(x: float, lo: float, hi: float | None) -> float:
 def validate(obj: DetectedObject, params: HeuristicParams, frame_area: int) -> DetectedObject:
     """A copy of ``obj`` labeled by the geometric heuristic, with its score."""
     if obj.w <= 0 or obj.h <= 0 or frame_area <= 0:
-        return replace(obj, label=NON_VEHICLE, score=0.0)
+        return obj.labeled(NON_VEHICLE, 0.0)
     aspect = obj.w / obj.h
     fill = obj.area / (obj.w * obj.h)
     frac = obj.area / frame_area
@@ -63,7 +63,7 @@ def validate(obj: DetectedObject, params: HeuristicParams, frame_area: int) -> D
         * _edge_ramp(fill, params.fill_min, None)
         * _edge_ramp(frac, params.area_min_frac, params.area_max_frac)
     )
-    return replace(obj, label=VEHICLE if ok else NON_VEHICLE, score=score)
+    return obj.labeled(VEHICLE if ok else NON_VEHICLE, score)
 
 
 def classify_all(

@@ -1,11 +1,15 @@
 """Subtraction, mask cleanup, connected components, mask codecs."""
 
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from blockbg import foreground
 from blockbg.background import BackgroundModel, backfill, build_srbi, save_model
 from blockbg.blocks import make_grid
 from blockbg.comparators import Method, default_config
@@ -22,7 +26,7 @@ from blockbg.foreground import (
 )
 from blockbg.imaging import load_frame, prefilter, save_frame
 
-from helpers import frame_of, texture
+from helpers import FIXED, frame_of, texture
 
 ABSDIFF = default_config(Method.ABSDIFF)
 
@@ -242,6 +246,24 @@ def test_median_matches_double_loop_oracle():
                 assert np.array_equal(got, naive_median(bits, window)), (shape, window, p)
 
 
+@FIXED
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    p=st.sampled_from((0.2, 0.5, 0.8)),
+    seed=st.integers(0, 2**32 - 1),
+    window=st.integers(1, 10).map(lambda k: 2 * k + 1),
+)
+@example(shape=(40, 3), p=0.5, seed=1, window=21)  # the window is wider than each row
+@example(shape=(3, 40), p=0.5, seed=2, window=5)
+def test_median_matches_the_oracle_on_drawn_masks(shape, p, seed, window):
+    # Row sums shift the flat mask and take back what crossed a row end;
+    # narrow masks, wide windows and dense rows test that correction.
+    bits = (np.random.default_rng(seed).random(shape) < p).astype(np.uint8)
+    want = naive_median(bits, window)
+    assert np.array_equal(median_filter_mask(bits, window), want)
+    assert np.array_equal(median_filter_mask(bits.astype(bool), window), want)
+
+
 # --- make_mask ---
 
 
@@ -272,6 +294,22 @@ def test_make_mask_ignores_sensor_noise():
         noisy = np.clip(np.rint(96.0 + 5.0 * rng.standard_normal((32, 32))), 0, 255)
         mask = make_mask(model, frame_of(noisy.astype(np.uint8)))
         assert not mask.bits.any()
+
+
+def test_make_mask_keeps_the_median_output(monkeypatch):
+    # make_mask adopts the fresh array median_filter_mask returns, and calls
+    # both stages through the module's names, where the tracer wraps them.
+    returned = {"subtract": [], "median_filter_mask": []}
+    for name, seen in returned.items():
+        def record(*args, real=getattr(foreground, name), seen=seen):
+            seen.append(real(*args))
+            return seen[-1]
+        monkeypatch.setattr(foreground, name, record)
+    base = texture(49, 32, 32)
+    mask = make_mask(model_of(base), frame_of(255 - base))
+    assert [len(seen) for seen in returned.values()] == [1, 1]
+    assert np.shares_memory(mask.bits, returned["median_filter_mask"][0])
+    assert mask.bits.any() and not mask.bits.flags.writeable
 
 
 # --- mask container ---
@@ -493,6 +531,23 @@ def test_frame_to_mask_names_the_bad_pixel():
         frame_to_mask(frame_of(px))
     assert "(3, 2)" in str(err.value)
     assert "7" in str(err.value)
+
+
+def test_frame_to_mask_holds_at_most_two_frames_of_new_memory():
+    # The 0/255 check and the mask share one comparison: the mask the
+    # function makes and one check array, not a third temporary.
+    px = np.zeros((720, 1280), dtype=np.uint8)
+    px[100:400, 200:900] = 255
+    frame = frame_of(px)
+    frame_to_mask(frame)  # warm
+    tracemalloc.start()
+    try:
+        mask = frame_to_mask(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.bits.sum() == 300 * 700
+    assert peak <= 2.05 * px.nbytes, peak / px.nbytes
 
 
 def test_made_buffers_are_read_only_and_share_no_caller_memory(tmp_path):

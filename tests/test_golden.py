@@ -7,13 +7,17 @@ of every file those commands write must equal the digest recorded in
 ``tests/golden/digests.json``. A change that moves a digest changes
 behaviour and must say why. Every DCT score of a build over each scene
 must also keep 1e-12 of its threshold's size clear of it, so the golden
-verdicts do not hang on the BLAS kernel's last bits. Re-record with
+verdicts do not hang on the BLAS kernel's last bits; where NumPy's BLAS is
+an OpenBLAS that picks its kernel at run time, the digests must also hold
+under its oldest x86-64 kernel. Re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +35,7 @@ from blockbg.imaging import save_frame
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
 SCENES = ("reference_sigma5", "mover_from_start")
+BLAS = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
 
 
 def scene_outputs(name: str, root: Path) -> dict[str, str]:
@@ -69,6 +74,31 @@ def test_outputs_match_recorded_digests(name, tmp_path, capsys):
     assert not changed, f"{len(changed)} output(s) changed, first {changed[0]}"
 
 
+def golden_outputs() -> dict[str, str]:
+    """SHA-256 of every output of every golden scene, keyed as in digests.json."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SCENES:
+            digests.update(scene_outputs(name, Path(tmp) / name))
+    return digests
+
+
+@pytest.mark.skipif(
+    "DYNAMIC_ARCH" not in BLAS.get("openblas configuration", ""),
+    reason="NumPy's BLAS is not an OpenBLAS that picks its kernel at run time",
+)
+def test_outputs_match_recorded_digests_under_prescott(tmp_path):
+    # OPENBLAS_CORETYPE is read once, when OpenBLAS loads: rerun the scenes
+    # in a fresh interpreter that loads it with the Prescott kernel.
+    got = tmp_path / "digests.json"
+    code = "import json, pathlib, sys, test_golden; pathlib.Path(sys.argv[1]).write_text(json.dumps(test_golden.golden_outputs()))"
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join((src, str(GOLDEN.parent)))}
+    run = subprocess.run([sys.executable, "-c", code, str(got)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(got.read_text()) == json.loads(DIGESTS.read_text())
+
+
 @pytest.mark.parametrize("name", SCENES)
 def test_dct_scores_keep_clear_of_the_threshold(name):
     # A DCT score's last bits come from the BLAS kernel; the golden verdicts
@@ -86,9 +116,6 @@ def test_dct_scores_keep_clear_of_the_threshold(name):
 
 
 if __name__ == "__main__":
-    digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in SCENES:
-            digests.update(scene_outputs(name, Path(tmp) / name))
+    digests = golden_outputs()
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(digests)} digests to {DIGESTS}", file=sys.stderr)
