@@ -40,7 +40,6 @@ from .blocks import (
 from .comparators import (
     ComparatorConfig,
     Method,
-    dct2,
     default_config,
     zigzag_indices,
 )

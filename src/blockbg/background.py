@@ -177,9 +177,11 @@ def _sidecar_lines(g: int, built_from: tuple[int, int], codes: list[int]) -> lis
 def save_model(model: BackgroundModel, path) -> None:
     """Write the SRBI as PGM plus a '.cells' text sidecar (see ``_sidecar_lines``)."""
     path = Path(path)
+    sidecar = path.with_name(path.name + _SIDECAR_SUFFIX)
+    sidecar.unlink(missing_ok=True)  # a failed write must not leave new pixels beside an old sidecar
     save_frame(Frame(model.pixels), path)
     lines = _sidecar_lines(model.grid.g, model.built_from, model.cell_status.ravel().tolist())
-    path.with_name(path.name + _SIDECAR_SUFFIX).write_text("".join(lines), encoding="ascii")
+    sidecar.write_text("".join(lines), encoding="ascii")
 
 
 def load_model(path) -> BackgroundModel:

@@ -348,6 +348,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 for oi, o in enumerate(objects)
             )
             n_frames, n_objects = i + 1, n_objects + len(objects)
+    k = n_frames  # masks from here on are an earlier, longer run's
+    while (stale := out_dir / f"mask_{k:06d}.pgm").exists():
+        stale.unlink()
+        k += 1
     _echo_config(args, out_dir / "config.txt")
     print(f"frames {n_frames}")
     print(f"objects {n_objects}")

@@ -74,27 +74,13 @@ def default_config(method: Method | str) -> ComparatorConfig:
 
 @lru_cache(maxsize=None)
 def _dct_matrix(n: int) -> np.ndarray:
-    # Orthonormal DCT-II basis: C @ C.T == I.
+    # Orthonormal DCT-II basis, C @ C.T == I: a block's 2-D DCT is C_h @ block @ C_w.T.
     k = np.arange(n)[:, None].astype(np.float64)
     x = np.arange(n)[None, :].astype(np.float64)
     c = np.cos(np.pi * (2.0 * x + 1.0) * k / (2.0 * n)) * np.sqrt(2.0 / n)
     c[0, :] *= np.sqrt(0.5)
     c.setflags(write=False)
     return c
-
-
-def dct2(block) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of a block, as float64 coefficients.
-
-    Separable form: rows and columns each transformed by the 1-D cosine
-    basis, i.e. C_h @ block @ C_w.T. Energy is preserved (Parseval).
-    """
-    px = np.asarray(block, dtype=np.float64)
-    if px.ndim != 2 or px.size == 0:
-        raise ValueError("dct2 expects a non-empty 2-D block")
-    ch = _dct_matrix(px.shape[0])
-    cw = _dct_matrix(px.shape[1])
-    return ch @ px @ cw.T
 
 
 @lru_cache(maxsize=None)

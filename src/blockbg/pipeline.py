@@ -134,11 +134,12 @@ def detect_stream(
     max_frames: int = DEFAULT_MAX_FRAMES, rebuild_every: int = 0, scores: deque | None = None,
 ) -> Iterator[tuple[ForegroundMask, list[DetectedObject]]]:
     """Each frame's mask and objects, in order. With ``rebuild_every`` N > 0,
-    ``update_srbi`` rebuilds the model with ``cfg`` before every Nth frame
-    from the last ``max_frames`` frames, the only ones held besides the
-    current one, reusing their pair scores in ``scores`` (at first the build's).
-    A negative ``rebuild_every``, or a positive one without ``cfg`` or with
-    ``max_frames`` < 2, raises ValueError before any frame is read."""
+    ``update_srbi`` rebuilds the model with ``cfg`` before every Nth frame from
+    the last ``max_frames`` frames, the only ones held besides the current one,
+    reusing their pair scores in ``scores`` (at first the build's); an adopted
+    rebuild's frame indices count from the first of ``frames``. A negative
+    ``rebuild_every``, or a positive one without ``cfg`` or with ``max_frames``
+    < 2, raises ValueError before any frame is read."""
     if rebuild_every < 0:
         raise ValueError(f"rebuild_every must be >= 0, got {rebuild_every}")
     if rebuild_every and cfg is None:
@@ -148,7 +149,12 @@ def detect_stream(
     recent = deque(maxlen=max_frames if rebuild_every else 0)
     for i, frame in enumerate(frames):
         if len(recent) >= 2 and i % rebuild_every == 0:
-            model = update_srbi(model, recent, cfg, max_frames=max_frames, scores=scores)
+            rebuilt = update_srbi(model, recent, cfg, max_frames=max_frames, scores=scores)
+            if rebuilt is not model:  # its frame indices count from recent[0], frame i - len(recent)
+                start = i - len(recent)
+                rebuilt.cell_status[rebuilt.cell_status >= 0] += start
+                rebuilt.built_from = (rebuilt.built_from[0] + start, rebuilt.built_from[1] + start)
+            model = rebuilt
         ((mask, objects),) = run_detection(model, [frame], params)
         yield mask, objects
         if len(recent) == recent.maxlen and scores:

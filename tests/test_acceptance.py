@@ -27,7 +27,7 @@ from blockbg.bench import (
 )
 from blockbg.blocks import entropy_of
 from blockbg.cli import main
-from blockbg.comparators import Method, default_config, dct2, score
+from blockbg.comparators import ComparatorConfig, Method, _dct_matrix, default_config, score, score_blocks
 from blockbg.foreground import (
     ForegroundMask,
     connected_components,
@@ -128,19 +128,37 @@ def _cos_tensor(h, w):
     return t
 
 
+def _zigzag(n):
+    """JPEG zigzag order of an n x n block: anti-diagonals in turn, the
+    even ones read from bottom-left to top-right, the odd ones back."""
+    order = []
+    for d in range(2 * n - 1):
+        diag = [(r, d - r) for r in range(n) if 0 <= d - r < n]
+        order.extend(reversed(diag) if d % 2 == 0 else diag)
+    return order
+
+
 def test_criterion_05_dct_matches_the_four_sum_definition():
+    # The DCT that model builds run: score_blocks applies the _dct_matrix
+    # basis and averages |coefficient difference| over the first keep
+    # zigzag cells. keep = 5 ends mid-diagonal, so a transposed or
+    # misordered cell set scores differently.
     tensors = {4: _cos_tensor(4, 4), 8: _cos_tensor(8, 8)}
+    orders = {4: _zigzag(4), 8: _zigzag(8)}
     worst_rel = 0.0
     worst_parseval = 0.0
     worst_round = 0.0
+    worst_score = 0.0
     for i in range(1000):
         size = 4 if i % 2 == 0 else 8
         t = tensors[size]
-        bits = rng.uniforms(500 + i, 1, size * size)
-        block = (bits * 256).astype(np.uint8).reshape(size, size)
+        block, other = (
+            (rng.uniforms(500 + i, tag, size * size) * 256).astype(np.uint8).reshape(size, size) for tag in (1, 2)
+        )
         x = block.astype(np.float64)
         want = np.tensordot(t, x, axes=([2, 3], [0, 1]))
-        got = dct2(block)
+        basis = _dct_matrix(size)
+        got = basis @ x @ basis.T
         rel = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-9, (i, rel)
@@ -153,10 +171,19 @@ def test_criterion_05_dct_matches_the_four_sum_definition():
         round_err = float(np.max(np.abs(back - x)))
         worst_round = max(worst_round, round_err)
         assert round_err <= 1e-6, (i, round_err)
+        delta = want - np.tensordot(t, other.astype(np.float64), axes=([2, 3], [0, 1]))
+        for keep in (1, 5, 10, size * size):
+            cfg = ComparatorConfig(Method.DCT, 0.0, dct_keep=keep)
+            scored = float(score_blocks(block[None], other[None], cfg)[0])
+            defined = float(np.mean([abs(delta[r, c]) for r, c in orders[size][:keep]]))
+            score_rel = abs(scored - defined) / max(1.0, defined)
+            worst_score = max(worst_score, score_rel)
+            assert score_rel <= 1e-9, (i, keep, scored, defined)
     print(
         f"criterion 5: PASS - 1000 blocks: max rel err {worst_rel:.2e} "
         f"(<= 1e-9), Parseval {worst_parseval:.2e} (<= 1e-9), round-trip "
-        f"{worst_round:.2e} (<= 1e-6)"
+        f"{worst_round:.2e} (<= 1e-6), score_blocks at keep 1/5/10/n^2 "
+        f"{worst_score:.2e} (<= 1e-9)"
     )
 
 

@@ -458,6 +458,18 @@ def test_load_rejects_missing_sidecar(tmp_path):
         load_model(path)
 
 
+def test_a_failed_sidecar_write_leaves_no_old_sidecar_beside_new_pixels(tmp_path):
+    grid = make_grid(16, 16, 4)
+    path = tmp_path / "model.pgm"
+    save_model(build_srbi([frame_of(texture(23, 16, 16))] * 2, grid, ABSDIFF), path)
+    newer = build_srbi([frame_of(texture(24, 16, 16))] * 2, grid, ABSDIFF)
+    with mock.patch.object(type(path), "write_text", side_effect=OSError("disk full")):
+        with pytest.raises(OSError, match="disk full"):
+            save_model(newer, path)
+    with pytest.raises(PnmError, match="model sidecar missing"):
+        load_model(path)
+
+
 def saved_model_path(tmp_path):
     base = texture(22, 16, 16)
     model = build_srbi([frame_of(base)] * 2, make_grid(16, 16, 4), ABSDIFF)

@@ -401,6 +401,21 @@ def test_detect_writes_masks_up_to_a_bad_frame(tmp_path, capsys):
     assert written == [f"mask_{i:06d}.pgm" for i in range(5)]
 
 
+def test_a_shorter_detect_rerun_leaves_only_its_own_masks(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "other.pgm").write_bytes(b"not a mask")
+    for count in (12, 6):
+        frames = static_dir(tmp_path, f"frames{count}", count=count)
+        code, stdout, _ = run(
+            capsys, "detect", "--input", str(frames), "--model-frames", "2", "--grid", "8",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0 and f"frames {count}" in stdout
+    written = sorted(p.name for p in out_dir.glob("*.pgm"))
+    assert written == [f"mask_{i:06d}.pgm" for i in range(6)] + ["other.pgm"]
+
+
 # --- bench ---
 
 

@@ -11,7 +11,6 @@ from blockbg.comparators import (
     _dct_matrix,
     _kept_cells,
     Method,
-    dct2,
     default_config,
     score,
     score_blocks,
@@ -195,11 +194,17 @@ def test_xor_shift_out_of_range():
         ComparatorConfig(Method.XOR, 0.0, xor_shift=-1)
 
 
-# --- dct2 ---
+# --- the DCT basis score_blocks applies ---
+
+
+def basis_dct(px) -> np.ndarray:
+    """2-D DCT of a block through the cached basis, as score_blocks takes it."""
+    px = np.asarray(px, dtype=np.float64)
+    return _dct_matrix(px.shape[0]) @ px @ _dct_matrix(px.shape[1]).T
 
 
 def test_dct_constant_block_has_only_dc():
-    coeffs = dct2(np.full((8, 8), 128, dtype=np.uint8))
+    coeffs = basis_dct(np.full((8, 8), 128, dtype=np.uint8))
     assert abs(coeffs[0, 0] - 1024.0) < 1e-9  # 128 * sqrt(64)
     ac = coeffs.copy()
     ac[0, 0] = 0.0
@@ -207,14 +212,14 @@ def test_dct_constant_block_has_only_dc():
 
 
 def test_dct_zero_block():
-    assert np.abs(dct2(np.zeros((8, 8)))).max() == 0.0
+    assert np.abs(basis_dct(np.zeros((8, 8)))).max() == 0.0
 
 
 def test_dct_matches_naive_definition():
     for seed in range(6):
         for shape in ((4, 4), (8, 8), (3, 5)):
             px = texture(700 + seed, *shape, lo=0, hi=256)
-            got = dct2(px)
+            got = basis_dct(px)
             want = naive_dct2(px)
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() / scale < 1e-9
@@ -223,7 +228,7 @@ def test_dct_matches_naive_definition():
 def test_dct_parseval():
     for seed in range(10):
         px = texture(720 + seed, 8, 8, lo=0, hi=256).astype(np.float64)
-        coeffs = dct2(px)
+        coeffs = basis_dct(px)
         e_px = (px ** 2).sum()
         e_cf = (coeffs ** 2).sum()
         assert abs(e_px - e_cf) / e_px < 1e-9
@@ -232,13 +237,8 @@ def test_dct_parseval():
 def test_dct_inverse_round_trip():
     for seed in range(5):
         px = texture(740 + seed, 8, 8, lo=0, hi=256).astype(np.float64)
-        back = naive_idct2(dct2(px))
+        back = naive_idct2(basis_dct(px))
         assert np.abs(back - px).max() < 1e-6
-
-
-def test_dct_rejects_non_2d():
-    with pytest.raises(ValueError):
-        dct2(np.zeros(8))
 
 
 # --- zigzag ---

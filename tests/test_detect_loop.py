@@ -68,6 +68,25 @@ def test_detect_stream_holds_only_the_rebuild_window(monkeypatch):
     assert i == len(pixels) - 1 and len(rebuilds) == len(pixels) - 2
 
 
+def test_adopted_rebuilds_count_their_frames_from_the_stream_start(monkeypatch):
+    # On a static scene every build settles all cells at its first pair, so
+    # each model's built_from is that pair's stream indices.
+    frames = gen_scene(SceneSpec(64, 48, 10, noise_sigma=0.0, seed=3)).frames
+    seen = []
+    run_detection = blockbg.pipeline.run_detection
+    monkeypatch.setattr(
+        blockbg.pipeline, "run_detection",
+        lambda model, frames, params: seen.append(
+            (model.built_from, int(model.cell_status.max()), model.cell_status.dtype)
+        ) or run_detection(model, frames, params),
+    )
+    params, cfg = PipelineParams(grid=8), default_config(Method.DCT)
+    model = build_model(frames, params, cfg, max_frames=3)
+    assert len(list(detect_stream(model, frames, params, cfg, max_frames=3, rebuild_every=2))) == 10
+    built_from = [(0, 2)] * 4 + [(1, 3)] * 2 + [(3, 5)] * 2 + [(5, 7)] * 2
+    assert seen == [((start, end), end - 1, np.int32) for start, end in built_from]
+
+
 def test_bench_scores_what_detect_writes(tmp_path, capsys):
     # bench_methods runs detect's loop with an inline model over the whole
     # scene and no rebuilds; evaluate over detect's files must agree exactly.
