@@ -207,6 +207,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+@functools.cache  # built on first use, once per subcommand and process
+def _config_parser(command: str) -> argparse.ArgumentParser:
+    """A parser that reads only ``command``'s --config, ahead of the full parse."""
+    pre = argparse.ArgumentParser(prog=build_parser()[1][command].prog, usage=argparse.SUPPRESS, add_help=False)
+    _add_common(pre)
+    return pre
+
+
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -336,23 +344,25 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     del pulled, model
     out_dir.mkdir(parents=True, exist_ok=True)
     n_frames = n_objects = 0
-    with open(out_dir / "objects.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ("frame_index", "object_index", "x", "y", "w", "h", "area", "label", "score")
-        )
-        for i, (mask, objects) in enumerate(results):
-            save_frame(mask_to_frame(mask), out_dir / f"mask_{i:06d}.pgm")
-            writer.writerows(
-                (i, oi, o.x, o.y, o.w, o.h, o.area, o.label, f"{o.score:.6f}")
-                for oi, o in enumerate(objects)
+    try:
+        with open(out_dir / "objects.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ("frame_index", "object_index", "x", "y", "w", "h", "area", "label", "score")
             )
-            n_frames, n_objects = i + 1, n_objects + len(objects)
-    k = n_frames  # masks from here on are an earlier, longer run's
-    while (stale := out_dir / f"mask_{k:06d}.pgm").exists():
-        stale.unlink()
-        k += 1
-    _echo_config(args, out_dir / "config.txt")
+            for i, (mask, objects) in enumerate(results):
+                save_frame(mask_to_frame(mask), out_dir / f"mask_{i:06d}.pgm")
+                writer.writerows(
+                    (i, oi, o.x, o.y, o.w, o.h, o.area, o.label, f"{o.score:.6f}")
+                    for oi, o in enumerate(objects)
+                )
+                n_frames, n_objects = i + 1, n_objects + len(objects)
+    finally:  # also when a frame fails: out_dir describes this run alone
+        k = n_frames  # masks from here on are an earlier run's
+        while (stale := out_dir / f"mask_{k:06d}.pgm").exists():
+            stale.unlink()
+            k += 1
+        _echo_config(args, out_dir / "config.txt")
     print(f"frames {n_frames}")
     print(f"objects {n_objects}")
     return 0
@@ -421,9 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     try:
         if argv and argv[0] in commands:
-            pre = argparse.ArgumentParser(prog=commands[argv[0]].prog, usage=argparse.SUPPRESS, add_help=False)
-            _add_common(pre)
-            config = pre.parse_known_args(argv[1:])[0].config
+            config = _config_parser(argv[0]).parse_known_args(argv[1:])[0].config
             if config:
                 # The file's lines go right after the subcommand name, so the
                 # command line's flags come later and win.

@@ -24,7 +24,10 @@ DEFAULT_MIN_AREA_FRAC = 0.001
 
 def _check_bits(bits: np.ndarray) -> None:
     """Raise ValueError unless every value of the non-empty ``bits`` is 0 or 1."""
-    # For integers the extremes decide; other dtypes may hold a 0.5 between.
+    # For integers the extremes decide, and for unsigned ones a maximum of at
+    # most 1 alone; other dtypes may hold a 0.5 between.
+    if bits.dtype.kind in "bu" and bits.max() <= 1:
+        return
     values = (bits.min(), bits.max()) if bits.dtype.kind in "biu" else np.unique(bits)
     for v in values:
         if v != 0 and v != 1:
@@ -96,10 +99,16 @@ def _window_sum(a: np.ndarray, r: int, axis: int) -> np.ndarray:
     axis 0, or along the rows of a 2-D ``a`` (axis 1). Rows shift as one flat
     array, faster than column slices, and then give back what crossed a row
     end: unsigned counts wrap and unwrap exactly."""
-    out = a.copy()
+    reach = min(r, a.shape[axis] - 1)  # only shifts that reach a neighbour
+    if not reach:
+        return a.copy()
+    out = np.empty(a.shape, a.dtype)  # row-major, so that out.ravel() is a view
     src, dst = (a, out) if axis == 0 else (a.ravel(), out.ravel())
-    for d in range(1, min(r, a.shape[axis] - 1) + 1):  # only shifts that reach a neighbour
-        dst[d:] += src[:-d]
+    dst[:1] = src[:1]
+    np.add(src[1:], src[:-1], out=dst[1:])  # a plus its first shift, written straight into out
+    for d in range(1, reach + 1):
+        if d > 1:
+            dst[d:] += src[:-d]
         dst[:-d] += src[d:]
         if axis:
             out[1:, :d] -= a[:-1, -d:]
@@ -167,6 +176,29 @@ class DetectedObject:
         return DetectedObject(self.x, self.y, self.w, self.h, self.area, self.centroid_x, self.centroid_y, label, score)
 
 
+def _run_edges(bits: np.ndarray) -> np.ndarray:
+    """Keys y*(w+1) + x, in raster order, where row y of the non-empty 0/1
+    ``bits`` flips, read as zero on both sides: x = 0 if the row starts set,
+    x = w if it ends set, and 0 < x < w where bits[y, x] != bits[y, x - 1].
+    Starts and ends of runs alternate."""
+    h, w = bits.shape
+    n = h * (w + 1)
+    flips = np.empty(-(-n // 8) * 8, dtype=np.uint8)  # whole 8-byte words
+    flips[n:] = 0
+    rows = flips[:n].reshape(h, w + 1)
+    np.bitwise_xor(bits[:, 1:], bits[:, :-1], out=rows[:, 1:w])
+    rows[:, 0] = bits[:, 0]
+    rows[:, w] = bits[:, -1]
+    # Scan a word at a time and look only at the bytes of words that hold
+    # a flip, unless so many do that one pass over every byte is quicker.
+    words = flips.view(np.uint64)
+    hit = np.flatnonzero(words != 0)
+    if len(hit) > len(words) // 8:
+        return np.flatnonzero(flips.view(bool))
+    k = np.flatnonzero(words[hit].view(bool))
+    return (hit[k >> 3] << 3) | (k & 7)
+
+
 def connected_components(mask: ForegroundMask, min_area: float = 0.0) -> list[DetectedObject]:
     """8-connected components with at least ``min_area`` pixels.
 
@@ -176,14 +208,12 @@ def connected_components(mask: ForegroundMask, min_area: float = 0.0) -> list[De
     if not min_area >= 0:  # NaN fails too
         raise ValueError(f"min_area must be >= 0, got {min_area}")
     h, w = mask.bits.shape
+    if not h * w:
+        return []
     # Horizontal runs in raster order as row-major keys y*stride + x over
-    # rows with a zero pad column: run i covers keys [start[i], end[i]).
-    # Behind one leading zero, the keys where the value flips alternate
-    # between a run's start and its end.
+    # rows with a pad column: run i covers keys [start[i], end[i]).
     stride = w + 1
-    flat = np.zeros(h * stride + 1, dtype=bool)
-    flat[1:].reshape(h, stride)[:, :w] = mask.bits
-    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    edges = _run_edges(mask.bits)
     start, end = edges[0::2], edges[1::2]
     n = len(start)
     if n == 0:

@@ -621,7 +621,7 @@ def test_load_accepts_only_the_lines_save_model_writes(tmp_path):
     with pytest.raises(PnmError, match=r"line 19: expected '3 3 settled 1\\n', got '3 3 settled 1'$"):
         load_model(path)
     sidecar.write_text(text.replace("# grid 4", "# grid 99999999999"))
-    with mock.patch.object(blockbg.background, "_sidecar_lines") as render:
+    with mock.patch.object(blockbg.background, "_sidecar_text") as render:
         with pytest.raises(PnmError, match="line 2: .*not a multiple of the grid 99999999999"):
             load_model(path)
     render.assert_not_called()

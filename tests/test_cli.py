@@ -416,6 +416,21 @@ def test_a_shorter_detect_rerun_leaves_only_its_own_masks(tmp_path, capsys):
     assert written == [f"mask_{i:06d}.pgm" for i in range(6)] + ["other.pgm"]
 
 
+def test_a_rerun_that_fails_at_frame_k_leaves_only_its_own_outputs(tmp_path, capsys):
+    # The stale masks and config.txt of a longer first run go even when the
+    # rerun stops at a bad frame, not only after a loop that finishes.
+    frames = static_dir(tmp_path, count=12)
+    out_dir = tmp_path / "out"
+    argv = ["detect", "--input", str(frames), "--model-frames", "2", "--grid", "8", "--out-dir", str(out_dir)]
+    code, stdout, _ = run(capsys, *argv, "--window", "5")
+    assert code == 0 and "frames 12" in stdout
+    truncate(frames / "000005.pgm")
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "000005.pgm" in err
+    assert sorted(p.name for p in out_dir.glob("*.pgm")) == [f"mask_{i:06d}.pgm" for i in range(5)]
+    assert echo_dict(out_dir / "config.txt")["window"] == "3"
+
+
 # --- bench ---
 
 

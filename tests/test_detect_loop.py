@@ -5,6 +5,7 @@ import csv
 import importlib
 import importlib.util
 import os
+import sys
 import weakref
 from collections import deque
 from itertools import chain, islice
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import blockbg.cli
+import blockbg.foreground
 import blockbg.pipeline
 from blockbg.bench import Mover, SceneSpec, bench_methods, evaluate, gen_scene, truth_boxes_for
 from blockbg.cli import main
@@ -203,3 +205,32 @@ def test_the_names_the_tracer_patches_are_there(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert tracing.CSV_NAME in opened
     assert detected == [1, 1, 1]  # one span per frame
+
+
+def test_each_frame_reaches_the_foreground_stages_the_tracer_times(tmp_path, capsys, monkeypatch):
+    # perfbench's detect workloads expect a span of each of these per frame.
+    # The tracer wraps a function in every blockbg module that holds it, so
+    # a path that fuses the stages or calls a private copy would lose them.
+    stages = ("subtract", "median_filter_mask", "connected_components")
+    calls = {name: 0 for name in stages}
+    modules = [m for key, m in sys.modules.items() if key == "blockbg" or key.startswith("blockbg.")]
+    for name in stages:
+        original = getattr(blockbg.foreground, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_frames(frames, [texture(66, 32, 32)] * 3)
+    code = main([
+        "detect", "--input", str(frames), "--model-frames", "2", "--grid", "8",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert "frames 3" in capsys.readouterr().out and code == 0
+    assert calls == {name: 3 for name in stages}

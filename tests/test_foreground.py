@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockbg import foreground
@@ -488,6 +488,44 @@ def test_components_match_flood_fill_oracle():
         for o in objs:
             assert o.x <= o.centroid_x <= o.x + o.w - 1
             assert o.y <= o.centroid_y <= o.y + o.h - 1
+
+
+@settings(FIXED, max_examples=200)
+@given(
+    shape=st.tuples(st.integers(1, 24), st.integers(1, 70)),
+    p=st.floats(0, 1),
+    p_ends=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(24, 70), p=0.002, p_ends=0.05, seed=1)  # few 8-byte words hold a run edge: the word scan
+@example(shape=(24, 70), p=0.5, p_ends=0.5, seed=2)  # most do: one pass over every byte
+def test_components_match_the_flood_oracle_on_drawn_masks(shape, p, p_ends, seed):
+    # The run edges fill h*(w+1) bytes and a zeroed tail up to whole 8-byte
+    # words; these shapes take every length mod 8, and p_ends sets runs at
+    # both ends of a row, whose edges sit at the first and last byte of it.
+    rng = np.random.default_rng(seed)
+    bits = (rng.random(shape) < p).astype(np.uint8)
+    bits[:, [0, -1]] = rng.random((shape[0], 2)) < p_ends
+    got = [(o.x, o.y, o.w, o.h, o.area, o.centroid_x, o.centroid_y) for o in connected_components(ForegroundMask(bits))]
+    assert got == sorted((summarize(px) for px in flood_components(bits)), key=lambda c: (c[1], c[0]))
+
+
+def test_components_hold_little_more_than_a_mask_of_new_memory():
+    # The run edges take one byte per key and an eighth of that for the
+    # word scan: no zeroed padded copy of the mask and no comparison array.
+    bits = np.zeros((720, 1280), dtype=np.uint8)
+    for y, x in ((100, 100), (300, 600), (450, 1000)):
+        bits[y : y + 160, x : x + 256] = 1
+    mask = ForegroundMask(bits)
+    connected_components(mask)  # warm
+    tracemalloc.start()
+    try:
+        objs = connected_components(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [o.area for o in objs] == [256 * 160, 256 * 160, 256 * 160]
+    assert peak <= 1.3 * bits.nbytes, peak / bits.nbytes
 
 
 def test_components_label_a_720p_comb_within_budget():
