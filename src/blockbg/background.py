@@ -16,7 +16,6 @@ fallback frame after the budget ran out.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import MutableSequence
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -163,45 +162,17 @@ _STATUS_CODES = {name: code for code, name in _STATUS_NAMES.items()}
 _SETTLE_MAX = int(np.iinfo(np.int32).max)  # the largest settle index cell_status holds
 
 
-@functools.lru_cache(maxsize=4)  # a process meets a few grids
-def _cell_prefixes(g: int) -> tuple[str, ...]:
-    """The ``"row col "`` that starts each cell line of a g x g grid, row-major."""
-    return tuple(f"{i // g} {i % g} " for i in range(g * g))
-
-
-@functools.lru_cache(maxsize=1 << 12)  # the settle indices of a few models
-def _cell_suffix(code: int) -> str:
-    """The ``status settle_index`` and newline that end the line of a cell with status ``code``."""
-    return f"{_STATUS_NAMES.get(code, 'settled')} {max(code, -1)}\n"
-
-
 def _sidecar_text(g: int, built_from: tuple[int, int], codes: list[int]) -> str:
     """A '.cells' sidecar: a header line, the grid, the ``built_from`` range,
     then a line ``row col status settle_index`` for each of the g*g row-major
     status ``codes``; settle_index is -1 unless the cell settled from a frame
     pair. Every line ends in a newline."""
+    # Most cells share a few codes, so each code's line end is formatted once.
+    ends = {code: f"{_STATUS_NAMES.get(code, 'settled')} {max(code, -1)}\n" for code in set(codes)}
     parts = [""] * (2 * g * g)
-    parts[0::2] = _cell_prefixes(g)
-    parts[1::2] = map(_cell_suffix, codes)
+    parts[0::2] = [f"{i // g} {i % g} " for i in range(g * g)]
+    parts[1::2] = map(ends.__getitem__, codes)
     return f"# srbi cells v1\n# grid {g}\n# built_from {built_from[0]} {built_from[1]}\n" + "".join(parts)
-
-
-def _token_codes(text: str, g: int) -> list[int] | None:
-    """The status codes that the cell lines of a sidecar ``text`` of grid ``g``
-    state, read from its whitespace-separated tokens (11 in the header, 4 per
-    cell); None for a token count that is off, a settle index that is not a
-    number or one past int32. Only a rendering equal to ``text`` proves them."""
-    tokens = text.split()
-    if len(tokens) != 11 + 4 * g * g:
-        return None
-    try:
-        codes = list(map(int, tokens[14::4]))  # -1 in every line but a settled cell's
-    except ValueError:
-        return None
-    names = tokens[13::4]
-    if "backfilled" in names:
-        codes = [CELL_BACKFILLED if name == "backfilled" else code for name, code in zip(names, codes)]
-    return codes if max(codes) <= _SETTLE_MAX else None
 
 
 def save_model(model: BackgroundModel, path) -> None:
@@ -246,21 +217,20 @@ def load_model(path) -> BackgroundModel:
         start = end = 0  # no rendering matches such a line
     if not 0 <= start <= end:
         raise PnmError(f"model sidecar line 3: built_from ({start}, {end}) needs 0 <= start <= end")
-    codes = _token_codes(text, g)
-    if codes is None or _sidecar_text(g, (start, end), codes) != text:  # find the line to name
-        codes = []
-        for ln, line in enumerate(got[3 : 3 + g * g], start=4):
-            try:
-                _, _, name, settle = line.split()
-                code = int(settle) if name == "settled" else _STATUS_CODES[name]
-            except (KeyError, ValueError):
-                code = CELL_UNSETTLED  # no rendering matches such a line
-            if code > _SETTLE_MAX:
-                raise PnmError(f"model sidecar line {ln}: settle index {code} is past int32")
-            codes.append(code)
-        codes += [CELL_UNSETTLED] * (g * g - len(codes))  # cells past the end of the file
-        expected = _sidecar_text(g, (start, end), codes).splitlines(keepends=True)
-        for ln, (want, have) in enumerate(zip_longest(expected, got, fillvalue=""), start=1):
+    codes = []
+    for ln, line in enumerate(got[3 : 3 + g * g], start=4):
+        try:
+            _, _, name, settle = line.split()
+            code = int(settle) if name == "settled" else _STATUS_CODES[name]
+        except (KeyError, ValueError):
+            code = CELL_UNSETTLED  # no rendering matches such a line
+        if code > _SETTLE_MAX:
+            raise PnmError(f"model sidecar line {ln}: settle index {code} is past int32")
+        codes.append(code)
+    codes += [CELL_UNSETTLED] * (g * g - len(codes))  # cells past the end of the file
+    expected = _sidecar_text(g, (start, end), codes)
+    if expected != text:  # walk the lines only to name the first that differs
+        for ln, (want, have) in enumerate(zip_longest(expected.splitlines(keepends=True), got, fillvalue=""), start=1):
             if want != have:
                 raise PnmError(f"model sidecar line {ln}: expected {want!r}, got {have!r}")
     grid = make_grid(frame.width, frame.height, g)

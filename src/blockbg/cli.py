@@ -14,6 +14,7 @@ reproduces the run exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import os
@@ -324,6 +325,16 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return 0 if final_cov >= args.min_coverage else 1
 
 
+def _finish_out_dir(args: argparse.Namespace, out_dir: Path, n_frames: int) -> None:
+    """Remove an earlier run's masks from ``n_frames`` on, up to the first
+    name that does not exist, and echo the configuration to config.txt."""
+    k = n_frames
+    while (stale := out_dir / f"mask_{k:06d}.pgm").exists():
+        stale.unlink()
+        k += 1
+    _echo_config(args, out_dir / "config.txt")
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     cfg = _comparator_config(args)
     params = _pipeline_params(args)
@@ -344,12 +355,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     del pulled, model
     out_dir.mkdir(parents=True, exist_ok=True)
     n_frames = n_objects = 0
-    try:
-        with open(out_dir / "objects.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ("frame_index", "object_index", "x", "y", "w", "h", "area", "label", "score")
-            )
+    with open(out_dir / "objects.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ("frame_index", "object_index", "x", "y", "w", "h", "area", "label", "score")
+        )
+        try:
             for i, (mask, objects) in enumerate(results):
                 save_frame(mask_to_frame(mask), out_dir / f"mask_{i:06d}.pgm")
                 writer.writerows(
@@ -357,12 +368,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     for oi, o in enumerate(objects)
                 )
                 n_frames, n_objects = i + 1, n_objects + len(objects)
-    finally:  # also when a frame fails: out_dir describes this run alone
-        k = n_frames  # masks from here on are an earlier run's
-        while (stale := out_dir / f"mask_{k:06d}.pgm").exists():
-            stale.unlink()
-            k += 1
-        _echo_config(args, out_dir / "config.txt")
+        except BaseException:
+            # This run's objects.csv is written, so the rest of out_dir must
+            # describe this run too; the frame's error is the one reported.
+            with contextlib.suppress(OSError):
+                _finish_out_dir(args, out_dir, n_frames)
+            raise
+    _finish_out_dir(args, out_dir, n_frames)
     print(f"frames {n_frames}")
     print(f"objects {n_objects}")
     return 0

@@ -190,11 +190,9 @@ def _run_edges(bits: np.ndarray) -> np.ndarray:
     rows[:, 0] = bits[:, 0]
     rows[:, w] = bits[:, -1]
     # Scan a word at a time and look only at the bytes of words that hold
-    # a flip, unless so many do that one pass over every byte is quicker.
+    # a flip: a mask of a few solid blobs has flips in few words.
     words = flips.view(np.uint64)
     hit = np.flatnonzero(words != 0)
-    if len(hit) > len(words) // 8:
-        return np.flatnonzero(flips.view(bool))
     k = np.flatnonzero(words[hit].view(bool))
     return (hit[k >> 3] << 3) | (k & 7)
 

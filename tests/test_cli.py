@@ -431,6 +431,42 @@ def test_a_rerun_that_fails_at_frame_k_leaves_only_its_own_outputs(tmp_path, cap
     assert echo_dict(out_dir / "config.txt")["window"] == "3"
 
 
+def test_a_rerun_that_cannot_open_objects_csv_leaves_out_dir_as_it_was(tmp_path, capsys):
+    frames = static_dir(tmp_path, count=4)
+    out_dir = tmp_path / "out"
+    argv = ["detect", "--input", str(frames), "--model-frames", "2", "--grid", "8", "--out-dir", str(out_dir)]
+    assert run(capsys, *argv, "--window", "5")[0] == 0
+    (out_dir / "objects.csv").unlink()
+    (out_dir / "objects.csv").mkdir()
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "objects.csv" in err
+    assert sorted(p.name for p in out_dir.glob("*.pgm")) == [f"mask_{i:06d}.pgm" for i in range(4)]
+    assert echo_dict(out_dir / "config.txt")["window"] == "5"
+
+
+def test_a_failed_mask_write_is_the_error_reported(tmp_path, capsys, monkeypatch):
+    # The cleanup after a failed frame may fail too (a full disk fails both
+    # writes); the mask's error is the one that names the cause.
+    save = blockbg.cli.save_frame
+
+    def save_or_fail(frame, path):
+        if path.name == "mask_000002.pgm":
+            raise OSError(28, "No space left on device", str(path))
+        save(frame, path)
+
+    def echo_fails(args, path):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(blockbg.cli, "save_frame", save_or_fail)
+    monkeypatch.setattr(blockbg.cli, "_echo_config", echo_fails)
+    frames = static_dir(tmp_path, count=4)
+    code, _, err = run(
+        capsys, "detect", "--input", str(frames), "--model-frames", "2", "--grid", "8",
+        "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 1 and "mask_000002.pgm" in err and "config.txt" not in err
+
+
 # --- bench ---
 
 

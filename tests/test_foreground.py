@@ -497,8 +497,8 @@ def test_components_match_flood_fill_oracle():
     p_ends=st.floats(0, 1),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(shape=(24, 70), p=0.002, p_ends=0.05, seed=1)  # few 8-byte words hold a run edge: the word scan
-@example(shape=(24, 70), p=0.5, p_ends=0.5, seed=2)  # most do: one pass over every byte
+@example(shape=(24, 70), p=0.002, p_ends=0.05, seed=1)  # few 8-byte words hold a run edge
+@example(shape=(24, 70), p=0.5, p_ends=0.5, seed=2)  # most do
 def test_components_match_the_flood_oracle_on_drawn_masks(shape, p, p_ends, seed):
     # The run edges fill h*(w+1) bytes and a zeroed tail up to whole 8-byte
     # words; these shapes take every length mod 8, and p_ends sets runs at
