@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .background import (
     BackgroundModel,
+    RebuildWindow,
     backfill,
     build_srbi,
     coverage,

@@ -5,9 +5,9 @@ frames are compared, and when a cell is judged static its pixels are
 committed verbatim from the later frame of the pair. Each pair scores the
 still unsettled cells in raster order, in chunks of about SCORE_BUDGET_PX
 pixels per call, and each cell settles at most once; building stops when
-every cell has settled or the frame budget runs out. A caller may keep
-each pair's scores across builds over the same frames, so a rebuild
-scores only the cells no earlier build did.
+every cell has settled or the frame budget runs out. Rebuilds move one
+build along a stream's last frames (see ``RebuildWindow``), so each pair's
+cells are scored at most once per stream.
 
 Cell status bookkeeping: a cell is either unsettled, settled at a frame
 index (the later frame of the agreeing pair), or backfilled from a
@@ -16,7 +16,7 @@ fallback frame after the budget ran out.
 
 from __future__ import annotations
 
-from collections.abc import MutableSequence
+from collections import deque
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
@@ -60,13 +60,7 @@ def coverage(model: BackgroundModel) -> float:
     return float(np.mean(model.cell_status != CELL_UNSETTLED))
 
 
-def build_srbi(
-    frames,
-    grid: BlockGrid,
-    cfg: ComparatorConfig,
-    max_frames: int = DEFAULT_MAX_FRAMES,
-    scores: MutableSequence[np.ndarray] | None = None,
-) -> BackgroundModel:
+def build_srbi(frames, grid: BlockGrid, cfg: ComparatorConfig, max_frames: int = DEFAULT_MAX_FRAMES) -> BackgroundModel:
     """Build the SRBI from a frame sequence (any iterable).
 
     Pulls a frame only when it is compared, and at most ``max_frames`` of
@@ -74,50 +68,60 @@ def build_srbi(
     Each frame is checked against the grid and frame 0 as it arrives. A
     partial model (coverage < 1) is a normal return, not an error; see
     ``backfill``.
-
-    ``scores[k]`` is the (g, g) float64 score grid of pair k (frames k and
-    k + 1), NaN where no build has scored the cell yet. The build appends
-    a grid when it first reaches a pair, scores only the pending cells that
-    are still NaN, and writes their scores back, so a later build over the
-    same frames reuses them. None starts an empty list.
     """
     if max_frames < 2:
         raise ValueError(f"max_frames must be >= 2, got {max_frames}")
-    scores = [] if scores is None else scores
-    g = grid.g
-    status = np.full((g, g), CELL_UNSETTLED, dtype=np.int32)
-    pixels = np.zeros((grid.cropped_height, grid.cropped_width), dtype=np.uint8)
+    return _move(_unread(grid), frames, 0, max_frames, cfg)
+
+
+def _unread(grid: BlockGrid) -> BackgroundModel:
+    """The build of no frame: every cell unsettled, every pixel 0 (a view that holds no memory)."""
+    status = np.full((grid.g, grid.g), CELL_UNSETTLED, dtype=np.int32)
+    return BackgroundModel(grid, np.broadcast_to(np.uint8(0), (grid.cropped_height, grid.cropped_width)), status, (0, 0))
+
+
+def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorConfig) -> BackgroundModel:
+    """``build_srbi`` over ``frames``, stream frames [start, end), from
+    ``build`` over stream frames [s, e), s <= start. A cell keeps its settle
+    index only inside the window, and an unsettled or backfilled cell failed
+    every pair before e - 1, so only the cells that settled before ``start``
+    are compared again from it; the unsettled ones join them at pair e - 1."""
+    grid, g = build.grid, build.grid.g
+    status = build.cell_status.copy()
+    pixels = build.pixels.copy() if build.built_from[1] else np.zeros(build.pixels.shape, dtype=np.uint8)
     model_blocks = block_view(pixels, grid)
+    again = (status >= 0) & (status <= start)
+    kept = (status > start) & (status < end)
+    model_blocks[~kept & (status != CELL_UNSETTLED)] = 0  # an unsettled cell's pixels are 0
+    status[~kept] = CELL_UNSETTLED
+    resume = build.built_from[1] - 1  # the first pair the build's unsettled cells were not compared on
     per_call = max(1, SCORE_BUDGET_PX // (grid.block_height * grid.block_width))
     stream = iter(frames)
     first = prev = next(stream, None)
     consumed = 0 if first is None else 1
-    while consumed < max_frames and (pending := status == CELL_UNSETTLED).any():
-        frame = next(stream, None)
-        if frame is None:
+    while start + consumed < end and (pending := status == CELL_UNSETTLED).any():
+        if (frame := next(stream, None)) is None:
             break
+        if start + consumed <= resume:
+            pending &= again
         blocks_a = block_view(prev, grid)  # frame 0 is cropped once it has a pair
         check_size(frame, (first.width, first.height), consumed)
         blocks_b = block_view(frame, grid)
-        if len(scores) < consumed:
-            scores.append(np.full((g, g), np.nan))
-        pair_scores = scores[consumed - 1]
-        # Chunks of unscored cells in raster order; a chunk may span grid rows.
-        rows, cols = np.nonzero(pending & np.isnan(pair_scores))
+        # Chunks of pending cells in raster order; a chunk may span grid rows.
+        static = np.zeros((g, g), dtype=bool)
+        rows, cols = np.nonzero(pending)
         for i in range(0, len(rows), per_call):
             r, c = rows[i : i + per_call], cols[i : i + per_call]
-            pair_scores[r, c] = score_blocks(blocks_a[r, c], blocks_b[r, c], cfg)
-        static = pending & (pair_scores < cfg.threshold)
+            static[r, c] = score_blocks(blocks_a[r, c], blocks_b[r, c], cfg) < cfg.threshold
         model_blocks[static] = blocks_b[static]
-        status[static] = consumed
+        status[static] = start + consumed
         prev = frame
         consumed += 1
-    if consumed < 2:
+    done = start + consumed if (status == CELL_UNSETTLED).any() else int(status.max()) + 1
+    if done - start < 2:
         raise SequenceTooShort(f"need at least 2 frames to build, got {consumed}")
     pixels.setflags(write=False)
-    return BackgroundModel(
-        grid=grid, pixels=pixels, cell_status=status, built_from=(0, consumed)
-    )
+    return BackgroundModel(grid=grid, pixels=pixels, cell_status=status, built_from=(start, done))
 
 
 def backfill(model: BackgroundModel, fallback: Frame) -> BackgroundModel:
@@ -133,28 +137,35 @@ def backfill(model: BackgroundModel, fallback: Frame) -> BackgroundModel:
     block_view(pixels, grid)[unsettled] = block_view(fallback, grid)[unsettled]
     status[unsettled] = CELL_BACKFILLED
     pixels.setflags(write=False)
-    return BackgroundModel(
-        grid=grid, pixels=pixels, cell_status=status, built_from=model.built_from
-    )
+    return BackgroundModel(grid=grid, pixels=pixels, cell_status=status, built_from=model.built_from)
 
 
-def update_srbi(
-    model: BackgroundModel,
-    frames,
-    cfg: ComparatorConfig,
-    max_frames: int = DEFAULT_MAX_FRAMES,
-    scores: MutableSequence[np.ndarray] | None = None,
-) -> BackgroundModel:
-    """Rebuild from newer frames; keep the old model unless coverage holds up.
+class RebuildWindow(deque):
+    """The last ``maxlen`` frames of a stream, and ``build``, ``build_srbi``
+    over them at the last ``update_srbi``, counting from the stream start; it
+    starts as the given build (backfilled cells count as unsettled) or unread."""
 
-    The new model is adopted only when its coverage is at least the old
-    one's, so a burst of activity can never degrade an established model.
-    ``scores`` is passed to ``build_srbi``.
-    """
-    fresh = build_srbi(frames, model.grid, cfg, max_frames=max_frames, scores=scores)
-    if coverage(fresh) >= coverage(model):
-        return fresh
-    return model
+    def __init__(self, grid: BlockGrid, maxlen: int, build: BackgroundModel | None = None):
+        super().__init__((), maxlen)
+        self.build, self.end = build or _unread(grid), 0  # end: the number of frames appended
+
+    def append(self, frame: Frame) -> None:
+        super().append(frame)
+        self.end += 1
+
+
+def update_srbi(model: BackgroundModel, window: RebuildWindow, cfg: ComparatorConfig) -> BackgroundModel:
+    """Move ``window.build`` to the window; keep the old model unless coverage holds up.
+
+    The moved build is ``build_srbi`` over the window and scores no (pair,
+    cell) the build has scored (see ``_move``); a window that ends before
+    the build reads it cut there. The new model is adopted only when its
+    coverage is at least the old one's, so a burst of activity can never
+    degrade an established model."""
+    fresh = _move(window.build, window, window.end - len(window), window.end, cfg)
+    if fresh.built_from[1] >= window.build.built_from[1]:
+        window.build = fresh
+    return fresh if coverage(fresh) >= coverage(model) else model
 
 
 _STATUS_NAMES = {CELL_UNSETTLED: "unsettled", CELL_BACKFILLED: "backfilled"}

@@ -19,7 +19,6 @@ import csv
 import functools
 import os
 import sys
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import fields
 from itertools import chain, islice
@@ -342,14 +341,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     frames = _frames(args)
     pulled = []  # frames the inline build decoded; detection starts with them
-    scores = deque()  # pair k's block scores: frames k, k + 1 of the build, then of the rebuild window
     if args.model is not None:
         model = load_model(args.model)  # frames smaller than it fail in subtract
     else:
-        model = build_model(islice(frames, args.model_frames), params, cfg, args.max_frames, pulled=pulled, scores=scores)
+        model = build_model(islice(frames, args.model_frames), params, cfg, args.max_frames, pulled=pulled)
         _note_backfill(model)
     rebuild_every = args.rebuild_every if args.model is None else 0  # a saved model is never rebuilt
-    results = detect_stream(model, chain(iter(pulled), frames), params, cfg, args.max_frames, rebuild_every, scores)
+    results = detect_stream(model, chain(iter(pulled), frames), params, cfg, args.max_frames, rebuild_every, model)  # rebuilds move the inline build on
     # The loop takes the model and the pulled frames over; through iter(), not
     # chain's own, the list is freed once the loop has passed it.
     del pulled, model

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
-from .background import DEFAULT_MAX_FRAMES, BackgroundModel, backfill, build_srbi, coverage, update_srbi
+from .background import DEFAULT_MAX_FRAMES, BackgroundModel, RebuildWindow, backfill, build_srbi, coverage, update_srbi
 from .blocks import (
     DELTA_H_HIGH,
     DELTA_H_LOW,
@@ -98,9 +98,7 @@ def detect_frame(
 
 
 def run_detection(
-    model: BackgroundModel,
-    frames: list[Frame],
-    params: PipelineParams,
+    model: BackgroundModel, frames: list[Frame], params: PipelineParams
 ) -> list[tuple[ForegroundMask, list[DetectedObject]]]:
     """detect_frame over a sequence; output order always matches input."""
     return [detect_frame(model, f, params) for f in frames]
@@ -108,11 +106,11 @@ def run_detection(
 
 def build_model(
     frames: Iterable[Frame], params: PipelineParams, cfg: ComparatorConfig,
-    max_frames: int = DEFAULT_MAX_FRAMES, fill: bool = True, pulled: list | None = None, scores: deque | None = None,
+    max_frames: int = DEFAULT_MAX_FRAMES, fill: bool = True, pulled: list | None = None,
 ) -> BackgroundModel:
-    """``build_srbi`` with ``scores`` over the head of ``frames``, on the grid
-    their first two resolve to; each frame it pulls is appended to ``pulled``.
-    With ``fill``, cells that never settled are backfilled from the last one."""
+    """``build_srbi`` over the head of ``frames``, on the grid their first two
+    resolve to; each frame it pulls is appended to ``pulled``. With ``fill``,
+    cells that never settled are backfilled from the last one."""
     pulled = deque(maxlen=1) if pulled is None else pulled
     frames = iter(frames)
     head = list(islice(frames, 2))
@@ -123,7 +121,7 @@ def build_model(
             pulled.append(frame)
             yield frame
 
-    model = build_srbi(pulling(), grid, cfg, max_frames=max_frames, scores=scores)
+    model = build_srbi(pulling(), grid, cfg, max_frames=max_frames)
     if fill and coverage(model) < 1.0:
         model = backfill(model, pulled[-1])
     return model
@@ -131,32 +129,23 @@ def build_model(
 
 def detect_stream(
     model: BackgroundModel, frames: Iterable[Frame], params: PipelineParams, cfg: ComparatorConfig | None = None,
-    max_frames: int = DEFAULT_MAX_FRAMES, rebuild_every: int = 0, scores: deque | None = None,
+    max_frames: int = DEFAULT_MAX_FRAMES, rebuild_every: int = 0, build: BackgroundModel | None = None,
 ) -> Iterator[tuple[ForegroundMask, list[DetectedObject]]]:
     """Each frame's mask and objects, in order. With ``rebuild_every`` N > 0,
-    ``update_srbi`` rebuilds the model with ``cfg`` before every Nth frame from
-    the last ``max_frames`` frames, the only ones held besides the current one,
-    reusing their pair scores in ``scores`` (at first the build's); an adopted
-    rebuild's frame indices count from the first of ``frames``. A negative
-    ``rebuild_every``, or a positive one without ``cfg`` or with ``max_frames``
-    < 2, raises ValueError before any frame is read."""
+    ``update_srbi`` moves one build with ``cfg`` (at first ``build``, one over
+    the head of ``frames``, or unread) to the last ``max_frames`` frames, the
+    only ones held besides the current one, before every Nth frame. A
+    negative ``rebuild_every``, or a positive one without ``cfg`` or with
+    ``max_frames`` < 2, raises ValueError before any frame is read."""
     if rebuild_every < 0:
         raise ValueError(f"rebuild_every must be >= 0, got {rebuild_every}")
     if rebuild_every and cfg is None:
         raise ValueError("rebuilding needs a comparator config")
     if rebuild_every and max_frames < 2:
         raise ValueError(f"rebuilding needs max_frames >= 2, got {max_frames}")
-    recent = deque(maxlen=max_frames if rebuild_every else 0)
+    recent = RebuildWindow(model.grid, max_frames if rebuild_every else 0, build)
     for i, frame in enumerate(frames):
         if len(recent) >= 2 and i % rebuild_every == 0:
-            rebuilt = update_srbi(model, recent, cfg, max_frames=max_frames, scores=scores)
-            if rebuilt is not model:  # its frame indices count from recent[0], frame i - len(recent)
-                start = i - len(recent)
-                rebuilt.cell_status[rebuilt.cell_status >= 0] += start
-                rebuilt.built_from = (rebuilt.built_from[0] + start, rebuilt.built_from[1] + start)
-            model = rebuilt
-        ((mask, objects),) = run_detection(model, [frame], params)
-        yield mask, objects
-        if len(recent) == recent.maxlen and scores:
-            scores.popleft()  # its pair loses recent[0]
+            model = update_srbi(model, recent, cfg)
+        yield from run_detection(model, [frame], params)
         recent.append(frame)

@@ -37,3 +37,15 @@ def frames_to_reach(model_status: np.ndarray, fraction: float, g: int) -> int:
     if len(settled) < need or need == 0:
         return -1
     return int(settled[need - 1]) + 1
+
+
+def scored_pairs(status, built_from) -> set[tuple[int, int, int]]:
+    """The (pair, row, col)s a from-scratch build scored: each cell on every
+    pair from the window start up to the one it settled on, or up to the
+    last pair read if it never settled. Pair k is frames k and k + 1."""
+    start, end = built_from
+    return {
+        (k, r, c)
+        for (r, c), s in np.ndenumerate(status)
+        for k in range(start, s if s >= 0 else end - 1)
+    }

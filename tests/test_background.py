@@ -12,6 +12,8 @@ from blockbg.background import (
     CELL_BACKFILLED,
     CELL_UNSETTLED,
     DEFAULT_MAX_FRAMES,
+    BackgroundModel,
+    RebuildWindow,
     backfill,
     build_srbi,
     coverage,
@@ -24,7 +26,7 @@ from blockbg.blocks import block_view, make_grid
 from blockbg.comparators import ComparatorConfig, Method, default_config, score
 from blockbg.errors import InconsistentSequence, PnmError, SequenceTooShort, ShapeMismatch
 
-from helpers import FIXED, frame_of, texture
+from helpers import FIXED, frame_of, scored_pairs, texture
 
 ABSDIFF = default_config(Method.ABSDIFF)
 
@@ -224,12 +226,12 @@ small_scenes = st.builds(
 )
 
 
-def assert_scores_are_the_cells_own(scores, frames, grid, cfg):
-    """Every score a build wrote is its own cell's ``score``."""
-    for k, pair in enumerate(scores):
-        first, second = block_view(frames[k], grid), block_view(frames[k + 1], grid)
-        for r, c in zip(*np.nonzero(~np.isnan(pair))):
-            assert pair[r, c] == score(first[r, c], second[r, c], cfg), (k, r, c)
+def window_of(grid, frames, maxlen=None, build=None):
+    """A RebuildWindow over the stream ``frames`` that holds its last ``maxlen``."""
+    window = RebuildWindow(grid, len(frames) if maxlen is None else maxlen, build)
+    for frame in frames:
+        window.append(frame)
+    return window
 
 
 # Budgets as (k, d) for k * block area + d pixels: one cell per call, one
@@ -240,10 +242,10 @@ BUDGETS = ((0, 1), (1, -1), (1, 0), (1, 1), (3, -1), (7, 1))
 @FIXED
 @given(
     small_scenes, st.sampled_from((1, 2, 4, 8)), st.integers(2, 12), st.booleans(),
-    st.sampled_from(BUDGETS), st.integers(0, 10),
+    st.sampled_from(BUDGETS), st.integers(0, 10), st.integers(2, 12),
 )
-def test_build_and_a_rebuild_from_its_scores_match_the_cell_by_cell_reference(
-    spec, g, max_frames, tie, budget, shift
+def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
+    spec, g, max_frames, tie, budget, shift, cut
 ):
     frames = gen_scene(spec).frames
     grid = make_grid(spec.width, spec.height, g)
@@ -256,27 +258,44 @@ def test_build_and_a_rebuild_from_its_scores_match_the_cell_by_cell_reference(
             pair = sorted(score(first[r, c], second[r, c], cfg) for r, c in np.ndindex(g, g))
             cfg = ComparatorConfig(method, pair[len(pair) // 2])
         want = settle_cell_by_cell(frames, grid, cfg, max_frames)
-        scores = []
-        with mock.patch.object(blockbg.background, "SCORE_BUDGET_PX", budget_px):
-            model = build_srbi(frames, grid, cfg, max_frames, scores=scores)
-            with mock.patch.object(blockbg.background, "score_blocks", side_effect=AssertionError("rescored")):
-                again = build_srbi(frames, grid, cfg, max_frames, scores=scores)
-            # A rebuild over a later window shares the pair grids it overlaps.
-            window = scores[shift:]
-            rebuilt = update_srbi(model, frames[shift:], cfg, max_frames, scores=window)
-        for got in (model, again):
-            assert np.array_equal(got.pixels, want[0]), method
-            assert np.array_equal(got.cell_status, want[1]), method
-            assert got.built_from == want[2], method
+        tally = [0]
+        original = blockbg.background.score_blocks
+
+        def counting(a, b, cfg):
+            tally[0] += len(a)
+            return original(a, b, cfg)
+
+        with mock.patch.object(blockbg.background, "SCORE_BUDGET_PX", budget_px), \
+                mock.patch.object(blockbg.background, "score_blocks", counting):
+            model = build_srbi(frames, grid, cfg, max_frames)
+            built = tally[0]
+            # The build moved to frames[shift:], as many as max_frames allows.
+            held = min(max_frames, len(frames) - shift)
+            window = window_of(grid, frames[: shift + held], held, model)
+            rebuilt = update_srbi(model, window, cfg)
+            moved = tally[0] - built
+            # A window that ends before the build does reads it cut there; against
+            # a model that covers nothing, that read is adopted, so it is seen.
+            cut = min(cut, len(frames))
+            unread = BackgroundModel(grid, model.pixels, np.full_like(model.cell_status, CELL_UNSETTLED), (0, 0))
+            truncated = update_srbi(unread, window_of(grid, frames[:cut], build=model), cfg)
+        assert np.array_equal(model.pixels, want[0]), method
+        assert np.array_equal(model.cell_status, want[1]), method
+        assert model.built_from == want[2], method
+        assert built == len(scored_pairs(*want[1:])), method
         fresh = settle_cell_by_cell(frames[shift:], grid, cfg, max_frames)
-        if np.mean(fresh[1] != CELL_UNSETTLED) >= coverage(model):
-            assert np.array_equal(rebuilt.pixels, fresh[0]), method
-            assert np.array_equal(rebuilt.cell_status, fresh[1]), method
-            assert rebuilt.built_from == fresh[2], method
-        else:
-            assert rebuilt is model, method
-        assert_scores_are_the_cells_own(scores, frames, grid, cfg)
-        assert_scores_are_the_cells_own(window, frames[shift:], grid, cfg)
+        status = np.where(fresh[1] >= 0, fresh[1] + shift, fresh[1])
+        built_from = (fresh[2][0] + shift, fresh[2][1] + shift)
+        assert np.array_equal(window.build.pixels, fresh[0]), method
+        assert np.array_equal(window.build.cell_status, status), method
+        assert window.build.built_from == built_from, method
+        assert rebuilt is (window.build if coverage(window.build) >= coverage(model) else model), method
+        # The move scored only the (pair, cell)s the build had not.
+        assert moved == len(scored_pairs(status, built_from) - scored_pairs(*want[1:])), method
+        head = settle_cell_by_cell(frames[:cut], grid, cfg)
+        assert np.array_equal(truncated.pixels, head[0]), method
+        assert np.array_equal(truncated.cell_status, head[1]), method
+        assert truncated.built_from == head[2], method
 
 
 def test_a_build_scores_each_pairs_pending_cells_once_in_budget_sized_calls(monkeypatch):
@@ -284,11 +303,11 @@ def test_a_build_scores_each_pairs_pending_cells_once_in_budget_sized_calls(monk
                      noise_sigma=5.0, seed=4)
     grid = make_grid(320, 240, 32)
     per_call = blockbg.background.SCORE_BUDGET_PX // (grid.block_height * grid.block_width)
-    per_pair = []  # the sizes of each pair's score_blocks calls
+    per_pair = []  # the blocks of each pair's score_blocks calls
     original = blockbg.background.score_blocks
 
-    def counting(a, b, cfg):
-        per_pair[-1].append(len(a))
+    def recording(a, b, cfg):
+        per_pair[-1].append(a)
         return original(a, b, cfg)
 
     def pulled(frames):
@@ -297,16 +316,15 @@ def test_a_build_scores_each_pairs_pending_cells_once_in_budget_sized_calls(monk
                 per_pair.append([])
             yield frame
 
-    monkeypatch.setattr(blockbg.background, "score_blocks", counting)
-    scores = []
-    model = build_srbi(pulled(gen_scene(spec).frames), grid, default_config(Method.DCT), scores=scores)
-    assert len(per_pair) == len(scores) == model.built_from[1] - 1 > 2
-    for k, sizes in enumerate(per_pair):
+    monkeypatch.setattr(blockbg.background, "score_blocks", recording)
+    frames = gen_scene(spec).frames
+    model = build_srbi(pulled(frames), grid, default_config(Method.DCT))
+    assert len(per_pair) == model.built_from[1] - 1 > 2
+    for k, calls in enumerate(per_pair):
         # Pair k settles its cells at index k + 1; the cells still pending there were scored.
         pending = (model.cell_status == CELL_UNSETTLED) | (model.cell_status > k)
-        assert np.array_equal(~np.isnan(scores[k]), pending), k
-        assert sum(sizes) == pending.sum(), k
-        assert len(sizes) <= -(-pending.sum() // per_call), (k, sizes)
+        assert np.array_equal(np.concatenate(calls), block_view(frames[k], grid)[pending]), k
+        assert len(calls) <= -(-pending.sum() // per_call), (k, [len(a) for a in calls])
 
 
 def test_pair_scoring_exactly_the_threshold_leaves_its_cell_unsettled():
@@ -397,26 +415,29 @@ def test_backfill_rejects_undersized_fallback():
 
 def test_update_adopts_a_parked_object():
     base = texture(17, 16, 16)
-    old = build_srbi([frame_of(base)] * 3, make_grid(16, 16, 4), ABSDIFF)
+    grid = make_grid(16, 16, 4)
+    old = build_srbi([frame_of(base)] * 3, grid, ABSDIFF)
     parked = base.copy()
     parked[6:10, 6:10] = 230  # now stationary, so it belongs to the background
-    updated = update_srbi(old, [frame_of(parked)] * 3, ABSDIFF)
+    updated = update_srbi(old, window_of(grid, [frame_of(parked)] * 3), ABSDIFF)
     assert updated is not old
     assert np.array_equal(updated.pixels, parked)
 
 
 def test_update_keeps_old_model_when_activity_spikes():
     base = texture(18, 16, 16)
-    old = build_srbi([frame_of(base)] * 3, make_grid(16, 16, 4), ABSDIFF)
+    grid = make_grid(16, 16, 4)
+    old = build_srbi([frame_of(base)] * 3, grid, ABSDIFF)
     churn = [frame_of(base), frame_of(255 - base)]  # every cell disagrees
-    updated = update_srbi(old, churn, ABSDIFF)
+    updated = update_srbi(old, window_of(grid, churn), ABSDIFF)
     assert updated is old
 
 
 def test_update_from_static_frames_reproduces_the_model():
     base = texture(19, 16, 16)
-    old = build_srbi([frame_of(base)] * 3, make_grid(16, 16, 4), ABSDIFF)
-    updated = update_srbi(old, [frame_of(base)] * 4, ABSDIFF)
+    grid = make_grid(16, 16, 4)
+    old = build_srbi([frame_of(base)] * 3, grid, ABSDIFF)
+    updated = update_srbi(old, window_of(grid, [frame_of(base)] * 4), ABSDIFF)
     assert updated is not old
     assert np.array_equal(updated.pixels, old.pixels)
     assert np.array_equal(updated.cell_status, old.cell_status)

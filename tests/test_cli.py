@@ -253,9 +253,9 @@ def oracle_detect(frames, method, model_frames, max_frames, rebuild_every):
     masks, rows, adopted = [], [], 0
     for i, frame in enumerate(frames):
         if rebuild_every and len(recent) >= 2 and i % rebuild_every == 0:
-            rebuilt = update_srbi(model, recent, cfg, max_frames)
-            adopted += rebuilt is not model
-            model = rebuilt
+            rebuilt = build_srbi(recent, grid, cfg, max_frames)
+            if coverage(rebuilt) >= coverage(model):
+                adopted, model = adopted + 1, rebuilt
         ((mask, objects),) = run_detection(model, [frame], params)
         masks.append(mask_to_frame(mask).pixels)
         rows += [
@@ -368,22 +368,6 @@ def test_detect_releases_frames_it_no_longer_needs(tmp_path, capsys, monkeypatch
         "--grid", "8", "--out-dir", str(tmp_path / "out"),
     )
     assert code == 0 and dead_at_last == [True]
-
-
-def test_a_second_build_with_the_same_scores_scores_nothing(monkeypatch):
-    spec = SceneSpec(64, 48, 10, movers=(Mover(0, 8, 16, 10, 230, 5, 0),), noise_sigma=4.0, seed=3)
-    frames = gen_scene(spec).frames
-    grid = make_grid(64, 48, 8)
-    cfg = default_config(Method.DCT)
-    tally = count_scored_cells(monkeypatch)
-    scores = []
-    first = build_srbi(frames, grid, cfg, scores=scores)
-    assert tally[0] > 0 and len(scores) == first.built_from[1] - 1
-    tally[0] = 0
-    second = build_srbi(frames, grid, cfg, scores=scores)
-    assert tally[0] == 0
-    assert np.array_equal(second.pixels, first.pixels)
-    assert np.array_equal(second.cell_status, first.cell_status)
 
 
 def test_detect_writes_masks_up_to_a_bad_frame(tmp_path, capsys):

@@ -7,16 +7,19 @@ import importlib.util
 import os
 import sys
 import weakref
-from collections import deque
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import blockbg.background
 import blockbg.cli
 import blockbg.foreground
 import blockbg.pipeline
+from blockbg.background import build_srbi, coverage
 from blockbg.bench import Mover, SceneSpec, bench_methods, evaluate, gen_scene, truth_boxes_for
 from blockbg.cli import main
 from blockbg.comparators import Method, default_config
@@ -26,15 +29,15 @@ from blockbg.imaging import Frame, load_frame
 from blockbg.pipeline import PipelineParams, build_model, detect_stream
 from blockbg.validation import VEHICLE
 
-from helpers import texture, write_frames
+from helpers import FIXED, scored_pairs, texture, write_frames
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def test_detect_stream_holds_only_the_rebuild_window(monkeypatch):
-    # 48 frames, 12 times the window: a frame or a pair's scores kept past
-    # the window would pile up. Each frame is a fresh object, so a weak
-    # reference tells whether anything still holds it.
+    # 48 frames, 12 times the window: a frame kept past the window would
+    # pile up. Each frame is a fresh object, so a weak reference tells
+    # whether anything still holds it.
     max_frames = 4
     spec = SceneSpec(
         64, 48, 48,
@@ -55,19 +58,84 @@ def test_detect_stream_holds_only_the_rebuild_window(monkeypatch):
     monkeypatch.setattr(
         blockbg.pipeline, "update_srbi", lambda *a, **k: rebuilds.append(1) or update_srbi(*a, **k)
     )
+    scored = []  # the number of blocks in each score_blocks call
+    score_blocks = blockbg.background.score_blocks
+    monkeypatch.setattr(
+        blockbg.background, "score_blocks", lambda a, b, cfg: scored.append(len(a)) or score_blocks(a, b, cfg)
+    )
     frames = stream()
     params, cfg = PipelineParams(grid=8), default_config(Method.DCT)
-    pulled, scores = [], deque()
-    model = build_model(islice(frames, 3), params, cfg, max_frames, pulled=pulled, scores=scores)
-    built = len(pulled)
+    pulled = []
+    model = build_model(islice(frames, 3), params, cfg, max_frames, pulled=pulled)
     frames, pulled = chain(iter(pulled), frames), None
-    results = detect_stream(model, frames, params, cfg, max_frames, rebuild_every=1, scores=scores)
+    results = detect_stream(model, frames, params, cfg, max_frames, rebuild_every=1, build=model)
     for i, _ in enumerate(results):
         alive = [t for t, ref in enumerate(refs) if ref() is not None]
         assert len(alive) <= max_frames + 1, (i, alive)
-        if i >= built:
-            assert len(scores) <= max_frames, i
     assert i == len(pixels) - 1 and len(rebuilds) == len(pixels) - 2
+    # Nor does work pile up: each pair's cells are scored at most once.
+    assert 0 < sum(scored) <= 8 * 8 * (len(pixels) - 1)
+
+
+scenes = st.builds(
+    SceneSpec,
+    width=st.integers(16, 40),
+    height=st.integers(16, 40),
+    frame_count=st.integers(2, 20),
+    movers=st.lists(
+        st.builds(
+            Mover, x=st.integers(-16, 40), y=st.integers(-16, 40), w=st.integers(1, 16), h=st.integers(1, 16),
+            intensity=st.integers(0, 255), dx=st.integers(-6, 6), dy=st.integers(-6, 6),
+        ),
+        max_size=3,
+    ).map(tuple),
+    noise_sigma=st.floats(0, 8),
+    seed=st.integers(0, 2**16),
+)
+
+
+@FIXED
+@given(scenes, st.sampled_from(Method), st.integers(2, 10), st.integers(2, 8), st.integers(1, 5))
+def test_each_rebuild_is_a_build_over_its_window_and_no_pair_cell_is_scored_twice(
+    spec, method, model_frames, max_frames, rebuild_every
+):
+    frames = gen_scene(spec).frames
+    params, cfg = PipelineParams(grid=8), default_config(method)
+    scored = []  # the number of blocks in each score_blocks call
+    rebuilds = []  # (window start, window end, old model, result, the window's build after it)
+    score_blocks, update_srbi = blockbg.background.score_blocks, blockbg.pipeline.update_srbi
+
+    def recording(model, window, cfg):
+        got = update_srbi(model, window, cfg)
+        rebuilds.append((window.end - len(window), window.end, model, got, window.build))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blockbg.background, "score_blocks", lambda a, b, cfg: scored.append(len(a)) or score_blocks(a, b, cfg))
+        mp.setattr(blockbg.pipeline, "update_srbi", recording)
+        model = build_model(frames[:model_frames], params, cfg, max_frames)
+        for _ in detect_stream(model, frames, params, cfg, max_frames, rebuild_every, build=model):
+            pass
+    grid = model.grid
+    inline = build_srbi(frames[:model_frames], grid, cfg, max_frames)
+    union = scored_pairs(inline.cell_status, inline.built_from)
+    reach = inline.built_from[1]  # the furthest frame a build has read
+    assert len(rebuilds) == sum(1 for i in range(2, len(frames)) if i % rebuild_every == 0)
+    for start, end, old, got, build in rebuilds:
+        want = build_srbi(frames[start:end], grid, cfg, end - start)
+        status = np.where(want.cell_status >= 0, want.cell_status + start, want.cell_status)
+        built_from = (start, start + want.built_from[1])
+        union |= scored_pairs(status, built_from)
+        fresh = [got] if got is not old else []
+        if end >= reach:  # a move, not a read of the build cut at the window's end
+            fresh.append(build)
+            reach = built_from[1]
+        for model in fresh:
+            assert np.array_equal(model.pixels, want.pixels), (start, end)
+            assert np.array_equal(model.cell_status, status), (start, end)
+            assert model.built_from == built_from, (start, end)
+        assert (got is not old) == (coverage(want) >= coverage(old)), (start, end)
+    assert sum(scored) == len(union)
 
 
 def test_adopted_rebuilds_count_their_frames_from_the_stream_start(monkeypatch):

@@ -363,6 +363,9 @@ def test_components_apply_min_area():
     bits[10, 10] = 1
     objs = connected_components(ForegroundMask(bits), min_area=2)
     assert len(objs) == 1 and objs[0].area == 16
+    # The floor is inclusive: the 4x4 blob is kept at exactly its area.
+    assert [o.area for o in connected_components(ForegroundMask(bits), min_area=16)] == [16]
+    assert connected_components(ForegroundMask(bits), min_area=17) == []
     with pytest.raises(ValueError):
         connected_components(ForegroundMask(bits), min_area=-1)
     with pytest.raises(ValueError, match="min_area must be >= 0, got nan"):  # NaN would drop every component

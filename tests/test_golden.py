@@ -5,9 +5,10 @@ run through ``model --max-frames 8``, ``detect --model`` (on the saved model),
 ``detect --model-frames 10 --rebuild-every 5`` and ``bench``. The SHA-256
 of every file those commands write must equal the digest recorded in
 ``tests/golden/digests.json``. A change that moves a digest changes
-behaviour and must say why. Every DCT score of a build over each scene
-must also keep 1e-12 of its threshold's size clear of it, so the golden
-verdicts do not hang on the BLAS kernel's last bits; where NumPy's BLAS is
+behaviour and must say why. Every DCT score of a build over each scene,
+and over perfbench's rebuild-320 scene at seed 0, must also keep 1e-12 of
+its threshold's size clear of it, so the verdicts do not hang on the BLAS
+kernel's last bits; where NumPy's BLAS is
 an OpenBLAS that picks its kernel at run time, the digests must also hold
 under its oldest x86-64 kernel. Re-record with
 
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blockbg.background
 from blockbg.background import build_srbi
 from blockbg.bench import gen_scene, parse_scene_file
 from blockbg.blocks import GRID_CHOICES, make_grid
@@ -99,19 +101,36 @@ def test_outputs_match_recorded_digests_under_prescott(tmp_path):
     assert json.loads(got.read_text()) == json.loads(DIGESTS.read_text())
 
 
-@pytest.mark.parametrize("name", SCENES)
-def test_dct_scores_keep_clear_of_the_threshold(name):
+# perfbench's rebuild-320 scene at seed 0, as its run records it. The run's
+# only DCT scores are its inline g = 32 build's and its rebuilds', and every
+# rebuild window there starts at frame 0, so a build over all its frames
+# scores each of them. It is not a golden scene: no digest covers it.
+REBUILD_320 = Path(__file__).parent / "rebuild-320-0.scene"
+
+
+@pytest.mark.parametrize(
+    "path, grids",
+    [*((GOLDEN / f"{name}.scene", GRID_CHOICES) for name in SCENES), (REBUILD_320, (32,))],
+    ids=[*SCENES, "rebuild-320-0"],
+)
+def test_dct_scores_keep_clear_of_the_threshold(path, grids, monkeypatch):
     # A DCT score's last bits come from the BLAS kernel; the golden verdicts
     # hold on every kernel only while no score sits on the threshold. The
     # other scores are exact integer ratios, so their ties are kernel-free.
     cfg = default_config(Method.DCT)
-    frames = gen_scene(parse_scene_file(GOLDEN / f"{name}.scene")).frames
-    for g in GRID_CHOICES:
-        scores = []
-        build_srbi(frames, make_grid(frames[0].width, frames[0].height, g), cfg, len(frames), scores)
-        scored = np.concatenate(scores, axis=None)
-        scored = scored[~np.isnan(scored)]
-        margin = np.min(np.abs(scored - cfg.threshold)) / cfg.threshold
+    frames = gen_scene(parse_scene_file(path)).frames
+    scored = []  # every score the builds compute
+    score_blocks = blockbg.background.score_blocks
+
+    def recording(a, b, cfg):
+        scored.append(score_blocks(a, b, cfg))
+        return scored[-1]
+
+    monkeypatch.setattr(blockbg.background, "score_blocks", recording)
+    for g in grids:
+        scored.clear()
+        build_srbi(frames, make_grid(frames[0].width, frames[0].height, g), cfg, len(frames))
+        margin = np.min(np.abs(np.concatenate(scored) - cfg.threshold)) / cfg.threshold
         assert margin >= 1e-12, (g, margin)
 
 
