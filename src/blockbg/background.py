@@ -88,7 +88,7 @@ def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorC
     are compared again from it; the unsettled ones join them at pair e - 1."""
     grid, g = build.grid, build.grid.g
     status = build.cell_status.copy()
-    pixels = build.pixels.copy() if build.built_from[1] else np.zeros(build.pixels.shape, dtype=np.uint8)
+    pixels = build.pixels.copy()  # an unread build's pixels are a zero view, so this starts all 0
     model_blocks = block_view(pixels, grid)
     again = (status >= 0) & (status <= start)
     kept = (status > start) & (status < end)
@@ -100,10 +100,13 @@ def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorC
     first = prev = next(stream, None)
     consumed = 0 if first is None else 1
     while start + consumed < end and (pending := status == CELL_UNSETTLED).any():
-        if (frame := next(stream, None)) is None:
-            break
         if start + consumed <= resume:
             pending &= again
+            if resume >= end - 1 and not pending.any():  # no pair left in the window compares a cell
+                consumed = end - start
+                break
+        if (frame := next(stream, None)) is None:
+            break
         blocks_a = block_view(prev, grid)  # frame 0 is cropped once it has a pair
         check_size(frame, (first.width, first.height), consumed)
         blocks_b = block_view(frame, grid)

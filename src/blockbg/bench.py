@@ -105,7 +105,6 @@ class SceneSpec:
 
 @dataclass
 class Scene:
-    spec: SceneSpec
     frames: list[Frame]
     truth_masks: list[ForegroundMask]
     true_background: Frame
@@ -178,7 +177,6 @@ def gen_scene(spec: SceneSpec) -> Scene:
         frames.append(Frame(px))
         truths.append(ForegroundMask(truth))
     return Scene(
-        spec=spec,
         frames=frames,
         truth_masks=truths,
         true_background=Frame(bg.astype(np.uint8)),

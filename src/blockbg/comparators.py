@@ -83,7 +83,6 @@ def _dct_matrix(n: int) -> np.ndarray:
     return c
 
 
-@lru_cache(maxsize=None)
 def zigzag_indices(height: int, width: int) -> tuple[tuple[int, int], ...]:
     """Zigzag scan order generalized to rectangles.
 

@@ -1,8 +1,11 @@
 """Small shared builders for the test suite."""
 
+from collections import namedtuple
+
 import numpy as np
 from hypothesis import settings
 
+import blockbg.background
 from blockbg.imaging import Frame, save_frame
 
 # Hypothesis settings for every property: a fixed, bounded set of examples.
@@ -49,3 +52,26 @@ def scored_pairs(status, built_from) -> set[tuple[int, int, int]]:
         for (r, c), s in np.ndenumerate(status)
         for k in range(start, s if s >= 0 else end - 1)
     }
+
+
+ScoreCall = namedtuple("ScoreCall", "a b cfg scores")
+
+
+def record_score_calls(mp) -> list[ScoreCall]:
+    """Patch, through the pytest MonkeyPatch ``mp``, the ``score_blocks`` that
+    builds call so that each call's blocks, config and scores are appended to
+    the returned list."""
+    calls = []
+    score_blocks = blockbg.background.score_blocks
+
+    def recording(a, b, cfg):
+        calls.append(ScoreCall(a, b, cfg, score_blocks(a, b, cfg)))
+        return calls[-1].scores
+
+    mp.setattr(blockbg.background, "score_blocks", recording)
+    return calls
+
+
+def blocks_scored(calls) -> int:
+    """The number of block pairs that the recorded ``calls`` scored."""
+    return sum(len(call.scores) for call in calls)

@@ -1,13 +1,11 @@
 """Release gate: one test per shipping criterion, at its stated tolerance.
 
 Each test prints a single summary line so a full run reads as a
-checklist. Oracles are self-contained copies on purpose: the gate must
-not share code paths with the implementation it is checking.
+checklist. The brute-force references come from ``oracles.py``: the
+gate must not share code paths with the implementation it is checking.
 """
 
-import math
 import time
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +35,7 @@ from blockbg.imaging import save_frame, Frame
 from blockbg.pipeline import PipelineParams, resolve_grid, run_detection
 
 from helpers import frames_to_reach
+from oracles import flood_components, naive_dct2, naive_idct2, naive_median, summarize, zigzag_oracle
 
 
 @pytest.fixture(scope="module")
@@ -112,51 +111,23 @@ def test_criterion_04_noisy_scene_accuracy_ordering_holds(noisy_rows):
     )
 
 
-def _cos_tensor(h, w):
-    """T[u, v, m, n] of the orthonormal 2-D DCT-II written from the sum
-    definition; tensordot(T, block) evaluates the four nested sums."""
-    t = np.empty((h, w, h, w), dtype=np.float64)
-    for u in range(h):
-        au = math.sqrt((1.0 if u == 0 else 2.0) / h)
-        for v in range(w):
-            av = math.sqrt((1.0 if v == 0 else 2.0) / w)
-            for m in range(h):
-                cu = math.cos(math.pi * (2 * m + 1) * u / (2 * h))
-                for n in range(w):
-                    cv = math.cos(math.pi * (2 * n + 1) * v / (2 * w))
-                    t[u, v, m, n] = au * av * cu * cv
-    return t
-
-
-def _zigzag(n):
-    """JPEG zigzag order of an n x n block: anti-diagonals in turn, the
-    even ones read from bottom-left to top-right, the odd ones back."""
-    order = []
-    for d in range(2 * n - 1):
-        diag = [(r, d - r) for r in range(n) if 0 <= d - r < n]
-        order.extend(reversed(diag) if d % 2 == 0 else diag)
-    return order
-
-
 def test_criterion_05_dct_matches_the_four_sum_definition():
     # The DCT that model builds run: score_blocks applies the _dct_matrix
     # basis and averages |coefficient difference| over the first keep
     # zigzag cells. keep = 5 ends mid-diagonal, so a transposed or
     # misordered cell set scores differently.
-    tensors = {4: _cos_tensor(4, 4), 8: _cos_tensor(8, 8)}
-    orders = {4: _zigzag(4), 8: _zigzag(8)}
+    orders = {4: zigzag_oracle(4, 4), 8: zigzag_oracle(8, 8)}
     worst_rel = 0.0
     worst_parseval = 0.0
     worst_round = 0.0
     worst_score = 0.0
     for i in range(1000):
         size = 4 if i % 2 == 0 else 8
-        t = tensors[size]
         block, other = (
             (rng.uniforms(500 + i, tag, size * size) * 256).astype(np.uint8).reshape(size, size) for tag in (1, 2)
         )
         x = block.astype(np.float64)
-        want = np.tensordot(t, x, axes=([2, 3], [0, 1]))
+        want = naive_dct2(x)
         basis = _dct_matrix(size)
         got = basis @ x @ basis.T
         rel = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
@@ -166,12 +137,11 @@ def test_criterion_05_dct_matches_the_four_sum_definition():
         parseval = abs(float(np.sum(got * got)) - energy) / energy
         worst_parseval = max(worst_parseval, parseval)
         assert parseval <= 1e-9, (i, parseval)
-        # inverse = the same tensor read backwards (orthonormal transform)
-        back = np.tensordot(t.transpose(2, 3, 0, 1), got, axes=([2, 3], [0, 1]))
+        back = naive_idct2(got)
         round_err = float(np.max(np.abs(back - x)))
         worst_round = max(worst_round, round_err)
         assert round_err <= 1e-6, (i, round_err)
-        delta = want - np.tensordot(t, other.astype(np.float64), axes=([2, 3], [0, 1]))
+        delta = want - naive_dct2(other)
         for keep in (1, 5, 10, size * size):
             cfg = ComparatorConfig(Method.DCT, 0.0, dct_keep=keep)
             scored = float(score_blocks(block[None], other[None], cfg)[0])
@@ -203,54 +173,6 @@ def test_criterion_06_entropy_hits_exact_endpoints():
     )
 
 
-def _loop_median(bits, window):
-    h, w = bits.shape
-    r = window // 2
-    out = np.zeros_like(bits)
-    for y in range(h):
-        for x in range(w):
-            region = bits[max(y - r, 0) : y + r + 1, max(x - r, 0) : x + r + 1]
-            out[y, x] = 1 if 2 * int(region.sum()) > region.size else 0
-    return out
-
-
-def _flood_summaries(bits):
-    h, w = bits.shape
-    seen = np.zeros((h, w), dtype=bool)
-    comps = []
-    for y in range(h):
-        for x in range(w):
-            if not bits[y, x] or seen[y, x]:
-                continue
-            queue = deque([(y, x)])
-            seen[y, x] = True
-            px = []
-            while queue:
-                cy, cx = queue.popleft()
-                px.append((cy, cx))
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        ny, nx = cy + dy, cx + dx
-                        if 0 <= ny < h and 0 <= nx < w:
-                            if bits[ny, nx] and not seen[ny, nx]:
-                                seen[ny, nx] = True
-                                queue.append((ny, nx))
-            ys = [p[0] for p in px]
-            xs = [p[1] for p in px]
-            comps.append(
-                (
-                    min(xs),
-                    min(ys),
-                    max(xs) - min(xs) + 1,
-                    max(ys) - min(ys) + 1,
-                    len(px),
-                    sum(xs) / len(px),
-                    sum(ys) / len(px),
-                )
-            )
-    return sorted(comps)
-
-
 def test_criterion_07_mask_operators_match_brute_force_oracles():
     densities = (0.2, 0.35, 0.5)
     windows = (3, 5)
@@ -259,13 +181,13 @@ def test_criterion_07_mask_operators_match_brute_force_oracles():
         bits = (gen.random((64, 64)) < densities[i % 3]).astype(np.uint8)
         window = windows[i % 2]
         assert np.array_equal(
-            median_filter_mask(bits, window), _loop_median(bits, window)
+            median_filter_mask(bits, window), naive_median(bits, window)
         ), (i, window)
         objs = connected_components(ForegroundMask(bits))
         got = sorted(
             (o.x, o.y, o.w, o.h, o.area, o.centroid_x, o.centroid_y) for o in objs
         )
-        assert got == _flood_summaries(bits), i
+        assert got == sorted(summarize(px) for px in flood_components(bits)), i
     print(
         "criterion 7: PASS - 200 seeded 64x64 masks: median filter bit-exact "
         "vs a double-loop oracle, components identical to flood fill"

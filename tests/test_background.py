@@ -11,7 +11,6 @@ import blockbg.background
 from blockbg.background import (
     CELL_BACKFILLED,
     CELL_UNSETTLED,
-    DEFAULT_MAX_FRAMES,
     BackgroundModel,
     RebuildWindow,
     backfill,
@@ -26,7 +25,8 @@ from blockbg.blocks import block_view, make_grid
 from blockbg.comparators import ComparatorConfig, Method, default_config, score
 from blockbg.errors import InconsistentSequence, PnmError, SequenceTooShort, ShapeMismatch
 
-from helpers import FIXED, frame_of, scored_pairs, texture
+from helpers import FIXED, blocks_scored, frame_of, record_score_calls, scored_pairs, texture
+from oracles import settle_cell_by_cell
 
 ABSDIFF = default_config(Method.ABSDIFF)
 
@@ -168,29 +168,6 @@ def test_offscreen_entry_recovered_by_every_method():
         assert (model.cell_status == 1).all()
 
 
-def settle_cell_by_cell(frames, grid, cfg, max_frames=DEFAULT_MAX_FRAMES):
-    """Reference build: visit every unsettled cell of every frame pair
-    among the first ``max_frames`` frames."""
-    g, bh, bw = grid.g, grid.block_height, grid.block_width
-    status = np.full((g, g), CELL_UNSETTLED)
-    pixels = np.zeros((grid.cropped_height, grid.cropped_width), dtype=np.uint8)
-    frames = frames[:max_frames]
-    consumed = 2
-    for t in range(len(frames) - 1):
-        pending = [(r, c) for r in range(g) for c in range(g) if status[r, c] == CELL_UNSETTLED]
-        if not pending:
-            consumed = t + 1
-            break
-        consumed = t + 2
-        for r, c in pending:
-            a = block_view(frames[t], grid)[r, c]
-            b = block_view(frames[t + 1], grid)[r, c]
-            if score(a, b, cfg) < cfg.threshold:
-                pixels[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw] = b
-                status[r, c] = t + 1
-    return pixels, status, (0, consumed)
-
-
 def test_build_matches_a_cell_by_cell_settle_loop():
     scene = crossing_scene()
     grid = make_grid(32, 32, 8)
@@ -258,22 +235,16 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
             pair = sorted(score(first[r, c], second[r, c], cfg) for r, c in np.ndindex(g, g))
             cfg = ComparatorConfig(method, pair[len(pair) // 2])
         want = settle_cell_by_cell(frames, grid, cfg, max_frames)
-        tally = [0]
-        original = blockbg.background.score_blocks
-
-        def counting(a, b, cfg):
-            tally[0] += len(a)
-            return original(a, b, cfg)
-
-        with mock.patch.object(blockbg.background, "SCORE_BUDGET_PX", budget_px), \
-                mock.patch.object(blockbg.background, "score_blocks", counting):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blockbg.background, "SCORE_BUDGET_PX", budget_px)
+            calls = record_score_calls(mp)
             model = build_srbi(frames, grid, cfg, max_frames)
-            built = tally[0]
+            built = blocks_scored(calls)
             # The build moved to frames[shift:], as many as max_frames allows.
             held = min(max_frames, len(frames) - shift)
             window = window_of(grid, frames[: shift + held], held, model)
             rebuilt = update_srbi(model, window, cfg)
-            moved = tally[0] - built
+            moved = blocks_scored(calls) - built
             # A window that ends before the build does reads it cut there; against
             # a model that covers nothing, that read is adopted, so it is seen.
             cut = min(cut, len(frames))
@@ -283,6 +254,9 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
         assert np.array_equal(model.cell_status, want[1]), method
         assert model.built_from == want[2], method
         assert built == len(scored_pairs(*want[1:])), method
+        # No call scores more blocks than the budget holds, or than one when a block exceeds it.
+        per_call = max(1, budget_px // (grid.block_height * grid.block_width))
+        assert all(len(call.a) <= per_call for call in calls), method
         fresh = settle_cell_by_cell(frames[shift:], grid, cfg, max_frames)
         status = np.where(fresh[1] >= 0, fresh[1] + shift, fresh[1])
         built_from = (fresh[2][0] + shift, fresh[2][1] + shift)
@@ -298,33 +272,57 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
         assert truncated.built_from == head[2], method
 
 
+def test_a_read_with_nothing_to_compare_reads_no_frame(monkeypatch):
+    # Cell (1, 2) flickers up to frame 12 and settles at 13; the others settle
+    # at 1. A window over frames 0-9 keeps those and compares none of them
+    # again, whether the build read on to frame 13 (the window reads it cut)
+    # or stopped at frame 9, so the pair that would compare (1, 2) next lies
+    # past the window. Either read checks no frame.
+    base = texture(25, 16, 16)
+    frames = []
+    for t in range(14):
+        px = base.copy()
+        px[4:8, 8:12] = 255 if t % 2 and t < 12 else 0
+        frames.append(frame_of(px))
+    grid = make_grid(16, 16, 4)
+    builds = build_srbi(frames, grid, ABSDIFF), build_srbi(frames[:10], grid, ABSDIFF)
+    assert builds[0].cell_status[1, 2] == 13 and [b.built_from for b in builds] == [(0, 14), (0, 10)]
+    checked = []
+    check_size = blockbg.background.check_size
+    monkeypatch.setattr(blockbg.background, "check_size", lambda *args: checked.append(args) or check_size(*args))
+    want = settle_cell_by_cell(frames[:10], grid, ABSDIFF)
+    unread = BackgroundModel(grid, want[0], np.full_like(want[1], CELL_UNSETTLED), (0, 0))
+    for build in builds:
+        read = update_srbi(unread, window_of(grid, frames[:10], build=build), ABSDIFF)
+        assert checked == [], build.built_from
+        assert np.array_equal(read.pixels, want[0])
+        assert np.array_equal(read.cell_status, want[1])
+        assert read.built_from == want[2] == (0, 10)
+
+
 def test_a_build_scores_each_pairs_pending_cells_once_in_budget_sized_calls(monkeypatch):
     spec = SceneSpec(320, 240, 12, movers=(Mover(10, 20, 40, 30, 230, 9, 2), Mover(300, 150, 30, 20, 25, -7, 0)),
                      noise_sigma=5.0, seed=4)
     grid = make_grid(320, 240, 32)
     per_call = blockbg.background.SCORE_BUDGET_PX // (grid.block_height * grid.block_width)
-    per_pair = []  # the blocks of each pair's score_blocks calls
-    original = blockbg.background.score_blocks
-
-    def recording(a, b, cfg):
-        per_pair[-1].append(a)
-        return original(a, b, cfg)
+    calls = record_score_calls(monkeypatch)
+    firsts = []  # the index in calls of each pair's first call
 
     def pulled(frames):
         for i, frame in enumerate(frames):
             if i:  # frame i completes pair i - 1
-                per_pair.append([])
+                firsts.append(len(calls))
             yield frame
 
-    monkeypatch.setattr(blockbg.background, "score_blocks", recording)
     frames = gen_scene(spec).frames
     model = build_srbi(pulled(frames), grid, default_config(Method.DCT))
-    assert len(per_pair) == model.built_from[1] - 1 > 2
-    for k, calls in enumerate(per_pair):
+    assert len(firsts) == model.built_from[1] - 1 > 2
+    for k, (i, j) in enumerate(zip(firsts, [*firsts[1:], len(calls)])):
         # Pair k settles its cells at index k + 1; the cells still pending there were scored.
         pending = (model.cell_status == CELL_UNSETTLED) | (model.cell_status > k)
-        assert np.array_equal(np.concatenate(calls), block_view(frames[k], grid)[pending]), k
-        assert len(calls) <= -(-pending.sum() // per_call), (k, [len(a) for a in calls])
+        blocks = [call.a for call in calls[i:j]]
+        assert np.array_equal(np.concatenate(blocks), block_view(frames[k], grid)[pending]), k
+        assert len(blocks) <= -(-pending.sum() // per_call), (k, [len(a) for a in blocks])
 
 
 def test_pair_scoring_exactly_the_threshold_leaves_its_cell_unsettled():
@@ -358,8 +356,9 @@ def test_settled_blocks_match_their_settle_frame():
 
 def test_rejects_sequences_too_short_to_compare():
     grid = make_grid(16, 16, 4)
-    with pytest.raises(SequenceTooShort):
-        build_srbi([frame_of(texture(8, 16, 16))], grid, ABSDIFF)
+    for frames in ([frame_of(texture(8, 16, 16))], []):
+        with pytest.raises(SequenceTooShort, match=f"^need at least 2 frames to build, got {len(frames)}$"):
+            build_srbi(frames, grid, ABSDIFF)
 
 
 def test_rejects_dimension_mismatch_mid_sequence():
@@ -449,7 +448,13 @@ def test_update_from_static_frames_reproduces_the_model():
 def test_save_load_round_trip_with_mixed_statuses(tmp_path):
     model = build_srbi(flicker_frames(), make_grid(16, 16, 4), ABSDIFF)
     filled = backfill(model, frame_of(texture(20, 16, 16)))
-    for label, m in (("partial", model), ("filled", filled)):
+    whole = build_srbi(flicker_frames()[:2], make_grid(16, 16, 1), ABSDIFF)  # one cell
+    # The extremes a sidecar may state: an empty range, the largest settle index.
+    last = int(np.iinfo(np.int32).max)
+    none_read = BackgroundModel(whole.grid, filled.pixels, np.array([[CELL_BACKFILLED]], dtype=np.int32), (3, 3))
+    status = np.array([[last, 1], [CELL_BACKFILLED, CELL_UNSETTLED]], dtype=np.int32)
+    late = BackgroundModel(make_grid(16, 16, 2), filled.pixels, status, (0, last + 1))
+    for label, m in (("partial", model), ("filled", filled), ("whole", whole), ("none-read", none_read), ("late", late)):
         path = tmp_path / f"{label}.pgm"
         save_model(m, path)
         loaded = load_model(path)

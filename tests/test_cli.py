@@ -10,7 +10,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-import blockbg.background
 import blockbg.cli
 import blockbg.imaging
 from blockbg.background import CELL_UNSETTLED, backfill, build_srbi, coverage, load_model, update_srbi
@@ -22,7 +21,7 @@ from blockbg.foreground import DEFAULT_WINDOW, mask_to_frame
 from blockbg.imaging import load_frame
 from blockbg.pipeline import PipelineParams, run_detection
 
-from helpers import texture, write_frames
+from helpers import blocks_scored, record_score_calls, texture, write_frames
 
 
 def run(capsys, *argv):
@@ -287,29 +286,16 @@ def test_detect_sliding_rebuilds_match_rebuilding_from_scratch(tmp_path, capsys,
         assert np.array_equal(load_frame(out_dir / f"mask_{i:06d}.pgm").pixels, want), i
 
 
-def count_scored_cells(monkeypatch):
-    """Patch score_blocks to tally the blocks it scores; returns the tally."""
-    tally = [0]
-    original = blockbg.background.score_blocks
-
-    def counting(a, b, cfg):
-        tally[0] += len(a)
-        return original(a, b, cfg)
-
-    monkeypatch.setattr(blockbg.background, "score_blocks", counting)
-    return tally
-
-
 @pytest.mark.parametrize("max_frames", ("150", "4"))
 def test_detect_rebuilds_score_each_frame_pair_once(tmp_path, capsys, monkeypatch, max_frames):
     d, frames = sliding_scene(tmp_path)
-    tally = count_scored_cells(monkeypatch)
+    calls = record_score_calls(monkeypatch)
     rebuilt = []  # cells each rebuild scored
 
     def counting_update(*args, **kwargs):
-        before = tally[0]
+        before = len(calls)
         model = update_srbi(*args, **kwargs)
-        rebuilt.append(tally[0] - before)
+        rebuilt.append(blocks_scored(calls[before:]))
         return model
 
     monkeypatch.setattr("blockbg.pipeline.update_srbi", counting_update)
@@ -328,15 +314,15 @@ def test_detect_rebuilds_reuse_the_inline_builds_scores(tmp_path, capsys, monkey
     d = tmp_path / "frames"
     d.mkdir()
     write_frames(d, [f.pixels for f in gen_scene(spec).frames])
-    tally = count_scored_cells(monkeypatch)
+    calls = record_score_calls(monkeypatch)
     inline, rebuilt = [], []  # cells scored by the inline build, by each rebuild
 
     def counting_update(*args, **kwargs):
         if not inline:
-            inline.append(tally[0])
-        before = tally[0]
+            inline.append(blocks_scored(calls))
+        before = len(calls)
         model = update_srbi(*args, **kwargs)
-        rebuilt.append(tally[0] - before)
+        rebuilt.append(blocks_scored(calls[before:]))
         return model
 
     monkeypatch.setattr("blockbg.pipeline.update_srbi", counting_update)
@@ -894,9 +880,12 @@ def test_detect_without_glibc_leaves_malloc_alone_and_writes_the_same_bytes(tmp_
     def no_libc(name):
         raise AssertionError("ctypes reached without glibc")
 
-    monkeypatch.setattr(blockbg.cli.os, "confstr", no_such_name)
     monkeypatch.setattr(ctypes, "CDLL", no_libc)
     monkeypatch.setattr(blockbg.cli, "_keep_freed_heap", blockbg.cli._keep_freed_heap.__wrapped__)
-    assert run(capsys, *detect, str(tmp_path / "other"))[0] == 0
-    outputs = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("glibc", "other")]
-    assert outputs[0] == outputs[1]
+    # os.confstr raises on a platform that does not know the name, and
+    # returns None where the C library defines no value for it.
+    for name, confstr in (("other", no_such_name), ("unnamed", lambda name: None)):
+        monkeypatch.setattr(blockbg.cli.os, "confstr", confstr)
+        assert run(capsys, *detect, str(tmp_path / name))[0] == 0
+    outputs = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("glibc", "other", "unnamed")]
+    assert outputs[0] == outputs[1] == outputs[2]

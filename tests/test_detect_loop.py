@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import blockbg.background
 import blockbg.cli
 import blockbg.foreground
 import blockbg.pipeline
@@ -29,7 +28,7 @@ from blockbg.imaging import Frame, load_frame
 from blockbg.pipeline import PipelineParams, build_model, detect_stream
 from blockbg.validation import VEHICLE
 
-from helpers import FIXED, scored_pairs, texture, write_frames
+from helpers import FIXED, blocks_scored, record_score_calls, scored_pairs, texture, write_frames
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -58,11 +57,7 @@ def test_detect_stream_holds_only_the_rebuild_window(monkeypatch):
     monkeypatch.setattr(
         blockbg.pipeline, "update_srbi", lambda *a, **k: rebuilds.append(1) or update_srbi(*a, **k)
     )
-    scored = []  # the number of blocks in each score_blocks call
-    score_blocks = blockbg.background.score_blocks
-    monkeypatch.setattr(
-        blockbg.background, "score_blocks", lambda a, b, cfg: scored.append(len(a)) or score_blocks(a, b, cfg)
-    )
+    calls = record_score_calls(monkeypatch)
     frames = stream()
     params, cfg = PipelineParams(grid=8), default_config(Method.DCT)
     pulled = []
@@ -74,7 +69,7 @@ def test_detect_stream_holds_only_the_rebuild_window(monkeypatch):
         assert len(alive) <= max_frames + 1, (i, alive)
     assert i == len(pixels) - 1 and len(rebuilds) == len(pixels) - 2
     # Nor does work pile up: each pair's cells are scored at most once.
-    assert 0 < sum(scored) <= 8 * 8 * (len(pixels) - 1)
+    assert 0 < blocks_scored(calls) <= 8 * 8 * (len(pixels) - 1)
 
 
 scenes = st.builds(
@@ -101,9 +96,8 @@ def test_each_rebuild_is_a_build_over_its_window_and_no_pair_cell_is_scored_twic
 ):
     frames = gen_scene(spec).frames
     params, cfg = PipelineParams(grid=8), default_config(method)
-    scored = []  # the number of blocks in each score_blocks call
     rebuilds = []  # (window start, window end, old model, result, the window's build after it)
-    score_blocks, update_srbi = blockbg.background.score_blocks, blockbg.pipeline.update_srbi
+    update_srbi = blockbg.pipeline.update_srbi
 
     def recording(model, window, cfg):
         got = update_srbi(model, window, cfg)
@@ -111,7 +105,7 @@ def test_each_rebuild_is_a_build_over_its_window_and_no_pair_cell_is_scored_twic
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(blockbg.background, "score_blocks", lambda a, b, cfg: scored.append(len(a)) or score_blocks(a, b, cfg))
+        calls = record_score_calls(mp)
         mp.setattr(blockbg.pipeline, "update_srbi", recording)
         model = build_model(frames[:model_frames], params, cfg, max_frames)
         for _ in detect_stream(model, frames, params, cfg, max_frames, rebuild_every, build=model):
@@ -135,7 +129,7 @@ def test_each_rebuild_is_a_build_over_its_window_and_no_pair_cell_is_scored_twic
             assert np.array_equal(model.cell_status, status), (start, end)
             assert model.built_from == built_from, (start, end)
         assert (got is not old) == (coverage(want) >= coverage(old)), (start, end)
-    assert sum(scored) == len(union)
+    assert blocks_scored(calls) == len(union)
 
 
 def test_adopted_rebuilds_count_their_frames_from_the_stream_start(monkeypatch):

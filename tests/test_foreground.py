@@ -2,7 +2,6 @@
 
 import time
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from blockbg.foreground import (
 from blockbg.imaging import load_frame, prefilter, save_frame
 
 from helpers import FIXED, frame_of, texture
+from oracles import flood_components, naive_median, summarize
 
 ABSDIFF = default_config(Method.ABSDIFF)
 
@@ -36,58 +36,6 @@ def model_of(arr, g=4):
     arr = np.asarray(arr, dtype=np.uint8)
     h, w = arr.shape
     return build_srbi([frame_of(arr)] * 2, make_grid(w, h, g), ABSDIFF)
-
-
-def naive_median(bits, window):
-    """Double-loop strict-majority filter; the reference for the fast one."""
-    h, w = bits.shape
-    r = window // 2
-    out = np.zeros_like(bits)
-    for y in range(h):
-        for x in range(w):
-            region = bits[max(y - r, 0) : y + r + 1, max(x - r, 0) : x + r + 1]
-            out[y, x] = 1 if 2 * int(region.sum()) > region.size else 0
-    return out
-
-
-def flood_components(bits):
-    """8-connected pixel sets via BFS scan; the reference for the fast one."""
-    h, w = bits.shape
-    seen = np.zeros((h, w), dtype=bool)
-    comps = []
-    for y in range(h):
-        for x in range(w):
-            if not bits[y, x] or seen[y, x]:
-                continue
-            queue = deque([(y, x)])
-            seen[y, x] = True
-            px = []
-            while queue:
-                cy, cx = queue.popleft()
-                px.append((cy, cx))
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        ny, nx = cy + dy, cx + dx
-                        if 0 <= ny < h and 0 <= nx < w:
-                            if bits[ny, nx] and not seen[ny, nx]:
-                                seen[ny, nx] = True
-                                queue.append((ny, nx))
-            comps.append(px)
-    return comps
-
-
-def summarize(pixels):
-    ys = [p[0] for p in pixels]
-    xs = [p[1] for p in pixels]
-    return (
-        min(xs),
-        min(ys),
-        max(xs) - min(xs) + 1,
-        max(ys) - min(ys) + 1,
-        len(pixels),
-        sum(xs) / len(pixels),
-        sum(ys) / len(pixels),
-    )
 
 
 # --- subtract ---
@@ -543,7 +491,8 @@ def test_components_label_a_720p_comb_within_budget():
 
 
 def test_components_empty_mask_yields_nothing():
-    assert connected_components(ForegroundMask(np.zeros((8, 8), dtype=np.uint8))) == []
+    for shape in ((8, 8), (8, 0), (0, 8)):  # no set pixel, no columns, no rows
+        assert connected_components(ForegroundMask(np.zeros(shape, dtype=np.uint8))) == [], shape
 
 
 def test_detected_object_bbox_property():

@@ -6,9 +6,9 @@ run through ``model --max-frames 8``, ``detect --model`` (on the saved model),
 of every file those commands write must equal the digest recorded in
 ``tests/golden/digests.json``. A change that moves a digest changes
 behaviour and must say why. Every DCT score of a build over each scene,
-and over perfbench's rebuild-320 scene at seed 0, must also keep 1e-12 of
-its threshold's size clear of it, so the verdicts do not hang on the BLAS
-kernel's last bits; where NumPy's BLAS is
+and over perfbench's rebuild-320 scene and detect-720p model scene at seed
+0, must also keep 1e-12 of its threshold's size clear of it, so the
+verdicts do not hang on the BLAS kernel's last bits; where NumPy's BLAS is
 an OpenBLAS that picks its kernel at run time, the digests must also hold
 under its oldest x86-64 kernel. Re-record with
 
@@ -26,13 +26,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import blockbg.background
+import blockbg
 from blockbg.background import build_srbi
 from blockbg.bench import gen_scene, parse_scene_file
 from blockbg.blocks import GRID_CHOICES, make_grid
 from blockbg.cli import main
 from blockbg.comparators import Method, default_config
 from blockbg.imaging import save_frame
+
+from helpers import record_score_calls
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
@@ -94,24 +96,30 @@ def test_outputs_match_recorded_digests_under_prescott(tmp_path):
     # in a fresh interpreter that loads it with the Prescott kernel.
     got = tmp_path / "digests.json"
     code = "import json, pathlib, sys, test_golden; pathlib.Path(sys.argv[1]).write_text(json.dumps(test_golden.golden_outputs()))"
-    src = str(Path(__file__).parents[1] / "src")
+    src = str(Path(blockbg.__file__).parents[1])  # the package under test, wherever it was imported from
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join((src, str(GOLDEN.parent)))}
     run = subprocess.run([sys.executable, "-c", code, str(got)], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert json.loads(got.read_text()) == json.loads(DIGESTS.read_text())
 
 
-# perfbench's rebuild-320 scene at seed 0, as its run records it. The run's
-# only DCT scores are its inline g = 32 build's and its rebuilds', and every
-# rebuild window there starts at frame 0, so a build over all its frames
-# scores each of them. It is not a golden scene: no digest covers it.
+# perfbench's scenes at seed 0, as its runs record them; no digest covers
+# them. rebuild-320's only DCT scores are its inline g = 32 build's and its
+# rebuilds', and every rebuild window there starts at frame 0, so a build
+# over all its frames scores each of them. detect-720p builds its g = 16
+# model over all 8 frames of its model scene.
 REBUILD_320 = Path(__file__).parent / "rebuild-320-0.scene"
+DETECT_720P_MODEL = Path(__file__).parent / "detect-720p-0-model.scene"
 
 
 @pytest.mark.parametrize(
     "path, grids",
-    [*((GOLDEN / f"{name}.scene", GRID_CHOICES) for name in SCENES), (REBUILD_320, (32,))],
-    ids=[*SCENES, "rebuild-320-0"],
+    [
+        *((GOLDEN / f"{name}.scene", GRID_CHOICES) for name in SCENES),
+        (REBUILD_320, (32,)),
+        (DETECT_720P_MODEL, (16,)),
+    ],
+    ids=[*SCENES, "rebuild-320-0", "detect-720p-0-model"],
 )
 def test_dct_scores_keep_clear_of_the_threshold(path, grids, monkeypatch):
     # A DCT score's last bits come from the BLAS kernel; the golden verdicts
@@ -119,18 +127,12 @@ def test_dct_scores_keep_clear_of_the_threshold(path, grids, monkeypatch):
     # other scores are exact integer ratios, so their ties are kernel-free.
     cfg = default_config(Method.DCT)
     frames = gen_scene(parse_scene_file(path)).frames
-    scored = []  # every score the builds compute
-    score_blocks = blockbg.background.score_blocks
-
-    def recording(a, b, cfg):
-        scored.append(score_blocks(a, b, cfg))
-        return scored[-1]
-
-    monkeypatch.setattr(blockbg.background, "score_blocks", recording)
+    calls = record_score_calls(monkeypatch)
     for g in grids:
-        scored.clear()
+        calls.clear()
         build_srbi(frames, make_grid(frames[0].width, frames[0].height, g), cfg, len(frames))
-        margin = np.min(np.abs(np.concatenate(scored) - cfg.threshold)) / cfg.threshold
+        scores = np.concatenate([call.scores for call in calls])
+        margin = np.min(np.abs(scores - cfg.threshold)) / cfg.threshold
         assert margin >= 1e-12, (g, margin)
 
 
