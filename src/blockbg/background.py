@@ -100,13 +100,10 @@ def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorC
     first = prev = next(stream, None)
     consumed = 0 if first is None else 1
     while start + consumed < end and (pending := status == CELL_UNSETTLED).any():
-        if start + consumed <= resume:
-            pending &= again
-            if resume >= end - 1 and not pending.any():  # no pair left in the window compares a cell
-                consumed = end - start
-                break
         if (frame := next(stream, None)) is None:
             break
+        if start + consumed <= resume:
+            pending &= again
         blocks_a = block_view(prev, grid)  # frame 0 is cropped once it has a pair
         check_size(frame, (first.width, first.height), consumed)
         blocks_b = block_view(frame, grid)
@@ -207,7 +204,7 @@ def load_model(path) -> BackgroundModel:
     the first line that differs, a grid on line 2 that is missing, not
     positive or does not divide the image (before any cell is read), a
     ``built_from`` range that runs backwards or below frame 0, or a settle
-    index past int32.
+    index outside start < index < end or past int32.
     """
     path = Path(path)
     frame = load_frame(path)
@@ -232,14 +229,12 @@ def load_model(path) -> BackgroundModel:
     if not 0 <= start <= end:
         raise PnmError(f"model sidecar line 3: built_from ({start}, {end}) needs 0 <= start <= end")
     codes = []
-    for ln, line in enumerate(got[3 : 3 + g * g], start=4):
+    for line in got[3 : 3 + g * g]:
         try:
             _, _, name, settle = line.split()
             code = int(settle) if name == "settled" else _STATUS_CODES[name]
         except (KeyError, ValueError):
             code = CELL_UNSETTLED  # no rendering matches such a line
-        if code > _SETTLE_MAX:
-            raise PnmError(f"model sidecar line {ln}: settle index {code} is past int32")
         codes.append(code)
     codes += [CELL_UNSETTLED] * (g * g - len(codes))  # cells past the end of the file
     expected = _sidecar_text(g, (start, end), codes)
@@ -247,6 +242,9 @@ def load_model(path) -> BackgroundModel:
         for ln, (want, have) in enumerate(zip_longest(expected.splitlines(keepends=True), got, fillvalue=""), start=1):
             if want != have:
                 raise PnmError(f"model sidecar line {ln}: expected {want!r}, got {have!r}")
+    for ln, code in enumerate(codes, start=4):  # a build settles a cell at the later frame of a pair it read
+        if code >= 0 and (not start < code < end or code > _SETTLE_MAX):
+            raise PnmError(f"model sidecar line {ln}: settle index {code} lies outside built_from ({start}, {end}) or int32")
     grid = make_grid(frame.width, frame.height, g)
     status = np.array(codes, dtype=np.int32).reshape(g, g)
     return BackgroundModel(grid=grid, pixels=frame.pixels, cell_status=status, built_from=(start, end))

@@ -54,18 +54,18 @@ def scored_pairs(status, built_from) -> set[tuple[int, int, int]]:
     }
 
 
-ScoreCall = namedtuple("ScoreCall", "a b cfg scores")
+ScoreCall = namedtuple("ScoreCall", "a scores")
 
 
 def record_score_calls(mp) -> list[ScoreCall]:
     """Patch, through the pytest MonkeyPatch ``mp``, the ``score_blocks`` that
-    builds call so that each call's blocks, config and scores are appended to
+    builds call so that each call's first blocks and scores are appended to
     the returned list."""
     calls = []
     score_blocks = blockbg.background.score_blocks
 
     def recording(a, b, cfg):
-        calls.append(ScoreCall(a, b, cfg, score_blocks(a, b, cfg)))
+        calls.append(ScoreCall(a, score_blocks(a, b, cfg)))
         return calls[-1].scores
 
     mp.setattr(blockbg.background, "score_blocks", recording)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import blockbg.background
@@ -221,6 +221,9 @@ BUDGETS = ((0, 1), (1, -1), (1, 0), (1, 1), (3, -1), (7, 1))
     small_scenes, st.sampled_from((1, 2, 4, 8)), st.integers(2, 12), st.booleans(),
     st.sampled_from(BUDGETS), st.integers(0, 10), st.integers(2, 12),
 )
+# A mover 1 px a frame keeps column 0 changing until frame 8, so the build
+# settles it at 9, past a cut at 6, and that read has no cell left to compare.
+@example(SceneSpec(32, 32, 12, (Mover(0, 0, 8, 8, 255, 1, 0),)), 4, 12, False, (1, 0), 0, 6)
 def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
     spec, g, max_frames, tie, budget, shift, cut
 ):
@@ -270,34 +273,6 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
         assert np.array_equal(truncated.pixels, head[0]), method
         assert np.array_equal(truncated.cell_status, head[1]), method
         assert truncated.built_from == head[2], method
-
-
-def test_a_read_with_nothing_to_compare_reads_no_frame(monkeypatch):
-    # Cell (1, 2) flickers up to frame 12 and settles at 13; the others settle
-    # at 1. A window over frames 0-9 keeps those and compares none of them
-    # again, whether the build read on to frame 13 (the window reads it cut)
-    # or stopped at frame 9, so the pair that would compare (1, 2) next lies
-    # past the window. Either read checks no frame.
-    base = texture(25, 16, 16)
-    frames = []
-    for t in range(14):
-        px = base.copy()
-        px[4:8, 8:12] = 255 if t % 2 and t < 12 else 0
-        frames.append(frame_of(px))
-    grid = make_grid(16, 16, 4)
-    builds = build_srbi(frames, grid, ABSDIFF), build_srbi(frames[:10], grid, ABSDIFF)
-    assert builds[0].cell_status[1, 2] == 13 and [b.built_from for b in builds] == [(0, 14), (0, 10)]
-    checked = []
-    check_size = blockbg.background.check_size
-    monkeypatch.setattr(blockbg.background, "check_size", lambda *args: checked.append(args) or check_size(*args))
-    want = settle_cell_by_cell(frames[:10], grid, ABSDIFF)
-    unread = BackgroundModel(grid, want[0], np.full_like(want[1], CELL_UNSETTLED), (0, 0))
-    for build in builds:
-        read = update_srbi(unread, window_of(grid, frames[:10], build=build), ABSDIFF)
-        assert checked == [], build.built_from
-        assert np.array_equal(read.pixels, want[0])
-        assert np.array_equal(read.cell_status, want[1])
-        assert read.built_from == want[2] == (0, 10)
 
 
 def test_a_build_scores_each_pairs_pending_cells_once_in_budget_sized_calls(monkeypatch):
@@ -572,6 +547,8 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
         (4, "0 0 settled -1"),
         (4, "0 0 settled -2"),
         (4, "0 0 settled 99999999999"),
+        (4, "0 0 settled 0"),
+        (4, "0 0 settled 2"),
         (20, "4 0 settled 1"),
         (20, "0 0 settled 1"),
         (4, "0 0 settled"),
@@ -594,6 +571,8 @@ def test_load_rejects_image_not_matching_grid(tmp_path):
         "settled-at-minus-one",
         "settled-at-minus-two",
         "settle-index-past-int32",
+        "settled-at-built-from-start",
+        "settled-at-built-from-end",
         "outside-grid",
         "duplicate",
         "three-fields",
@@ -622,6 +601,32 @@ def test_load_rejects_bad_cell_line_and_names_it(tmp_path, ln, text):
     sidecar.write_text("\n".join(lines) + "\n")
     with pytest.raises(PnmError, match=f"line {ln}:"):
         load_model(path)
+
+
+def test_load_takes_only_settle_indices_a_build_over_built_from_writes(tmp_path):
+    # A cell settles at the later frame of a pair inside built_from, and
+    # cell_status is int32; a read of a build relies on both. (Settle indices
+    # at the ends of built_from (0, 2) are cases of the table above.)
+    path = saved_model_path(tmp_path)
+    sidecar = tmp_path / "model.pgm.cells"
+    text = sidecar.read_text()
+    assert "# built_from 0 2\n0 0 settled 1\n" in text
+    last = int(np.iinfo(np.int32).max)
+    for (start, end), settle, ok in [
+        ((3, 9), 4, True),
+        ((3, 9), 8, True),
+        ((3, 9), 3, False),
+        ((3, 9), 9, False),
+        ((0, last + 5), last, True),
+        ((0, last + 5), last + 1, False),
+    ]:
+        cells = text.replace("# built_from 0 2", f"# built_from {start} {end}").replace("settled 1", f"settled {start + 1}")
+        sidecar.write_text(cells.replace(f"0 0 settled {start + 1}", f"0 0 settled {settle}", 1))
+        if ok:
+            assert load_model(path).cell_status[0, 0] == settle
+        else:
+            with pytest.raises(PnmError, match=f"^model sidecar line 4: settle index {settle} lies outside"):
+                load_model(path)
 
 
 def test_load_accepts_only_the_lines_save_model_writes(tmp_path):

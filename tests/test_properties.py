@@ -95,19 +95,18 @@ def models(draw) -> BackgroundModel:
     g = draw(st.integers(1, 8))
     side = st.integers(-(-16 // g), -(-16 // g) + 3)  # frames are at least 16x16
     bw, bh = draw(side), draw(side)
+    start = draw(st.integers(0, 1000))
+    end = draw(st.integers(start, start + 1000) | st.just(np.iinfo(np.int32).max + 1))
+    # A build settles a cell at the later frame of a pair it read: start < index < end.
+    settled = [st.integers(start + 1, end - 1)] if end - start > 1 else []
     status = draw(
         st.lists(
-            st.one_of(
-                st.sampled_from((CELL_UNSETTLED, CELL_BACKFILLED)),
-                st.integers(0, np.iinfo(np.int32).max),
-            ),
+            st.one_of(st.sampled_from((CELL_UNSETTLED, CELL_BACKFILLED)), *settled),
             min_size=g * g,
             max_size=g * g,
         )
     )
     pixels = draw(st.binary(min_size=g * g * bw * bh, max_size=g * g * bw * bh))
-    start = draw(st.integers(0, 1000))
-    end = draw(st.integers(start, start + 1000))
     return BackgroundModel(
         grid=make_grid(g * bw, g * bh, g),
         pixels=np.frombuffer(pixels, dtype=np.uint8).reshape(g * bh, g * bw),
@@ -241,7 +240,7 @@ def test_mutated_cells_sidecars_load_or_raise_pnm_errors(data):
             BackgroundModel(
                 grid=make_grid(16, 16, 4),
                 pixels=texture(1, 16, 16),
-                cell_status=np.array([CELL_UNSETTLED, CELL_BACKFILLED, 0, 1] * 4, dtype=np.int32).reshape(4, 4),
+                cell_status=np.array([CELL_UNSETTLED, CELL_BACKFILLED, 1, 1] * 4, dtype=np.int32).reshape(4, 4),
                 built_from=(0, 2),
             ),
             path,

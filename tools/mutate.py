@@ -1,15 +1,16 @@
 """Mutation check: do the tests notice a small change to a module?
 
-Makes one mutant at a time of each module named: a ``<`` becomes ``<=``, a
-``<=`` becomes ``<``, a ``>`` becomes ``>=``, a ``>=`` becomes ``>``, or an
-integer literal gains 1. Each mutant is written into a copy of ``src`` and
-the tests named run against that copy, stopping at their first failure. A
-mutant that every test passes survives. A survivor listed in EQUIVALENT
-behaves as the original does, so no test can fail it; any other survivor
-is a change the tests do not see. Exits 1 when there is one.
+Makes mutants of each module named, each with one change: a ``<`` becomes
+``<=``, a ``<=`` becomes ``<``, a ``>`` becomes ``>=``, a ``>=`` becomes
+``>``, or an integer literal gains 1. Each mutant is written into a copy of
+``src`` and the tests named run against that copy, stopping at their first
+failure; one copy per CPU tests one mutant at a time. A mutant that every
+test passes survives. A survivor listed in EQUIVALENT behaves as the
+original does, so no test can fail it; any other survivor is a change the
+tests do not see. Exits 1 when there is one.
 
     python tools/mutate.py src/blockbg/foreground.py \\
-        --tests tests/test_foreground.py tests/test_acceptance.py --jobs 2
+        --tests tests/test_foreground.py tests/test_acceptance.py
 
 Standard library only. It takes minutes per module, so it is a tool to run
 on the modules a change touches, not part of the test suite.
@@ -52,10 +53,10 @@ EQUIVALENT = {
     ("src/blockbg/background.py", 80, 119, "0 -> 1"):
         "_unread: resume = end - 1 = 0 stays below every pair a build reads",
     ("src/blockbg/background.py", 93, 24, ">= -> >"):
-        "_move: no build settles a cell at index 0, the later frame of a pair",
+        "_move: a build never settles a cell at index 0, and load_model rejects one",
     ("src/blockbg/background.py", 93, 24, "0 -> 1"):
-        "_move: no build settles a cell at index 0, the later frame of a pair",
-    ("src/blockbg/background.py", 231, 23, "0 -> 1"):
+        "_move: a build never settles a cell at index 0, and load_model rejects one",
+    ("src/blockbg/background.py", 228, 23, "0 -> 1"):
         "load_model: a malformed line 3 fails against any placeholder range",
 }
 
@@ -103,17 +104,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="module files under src/ to mutate")
     parser.add_argument("--tests", nargs="+", required=True, help="test files or node ids to run on each mutant")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants tested at once (default 1)")
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     names = [Path(module).resolve().relative_to(ROOT).as_posix() for module in args.modules]
     # Mutants are written back from the syntax tree, which drops comments and
     # layout; the tests must pass on each module written back unchanged.
     plain = {name: ast.unparse(ast.parse((ROOT / name).read_text())) for name in names}
     with tempfile.TemporaryDirectory(prefix="mutate-") as work:
         trees = queue.Queue()
-        for j in range(args.jobs):
+        for j in range(jobs):
             tree = Path(work, str(j))
             shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
             for name, text in plain.items():
@@ -138,7 +137,7 @@ def main() -> int:
                     (tree / name).write_text(plain[name])
                     trees.put(tree)
 
-            with ThreadPoolExecutor(args.jobs) as pool:
+            with ThreadPoolExecutor(jobs) as pool:
                 passed = list(pool.map(attempt, todo))
             known = 0
             for (_, _, line, col, mutation), survived in zip(todo, passed):
