@@ -5,7 +5,9 @@ frames are compared, and when a cell is judged static its pixels are
 committed verbatim from the later frame of the pair. Each pair scores the
 still unsettled cells in raster order, in chunks of about SCORE_BUDGET_PX
 pixels per call, and each cell settles at most once; building stops when
-every cell has settled or the frame budget runs out. Rebuilds move one
+every cell has settled or the frame budget runs out. A frame's cells are
+summarized when first compared (see ``FrameSummary``), and a pair's later
+frame keeps its summaries for the next pair. Rebuilds move one
 build along a stream's last frames (see ``RebuildWindow``), so each pair's
 cells are scored at most once per stream.
 
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import BlockGrid, block_view, make_grid
-from .comparators import ComparatorConfig, score_blocks
+from .comparators import ComparatorConfig, FrameSummary, score_cells
 from .errors import PnmError, SequenceTooShort
 from .imaging import Frame, check_size, load_frame, save_frame
 
@@ -33,7 +35,7 @@ CELL_BACKFILLED = -2
 
 DEFAULT_MAX_FRAMES = 150
 
-# Pixels per score_blocks call: enough cells to amortize the call, few
+# Pixels per score_cells call: enough cells to amortize the call, few
 # enough to bound its temporaries (about one g = 8 row of a 720p frame).
 SCORE_BUDGET_PX = 1 << 16
 
@@ -97,25 +99,25 @@ def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorC
     resume = build.built_from[1] - 1  # the first pair the build's unsettled cells were not compared on
     per_call = max(1, SCORE_BUDGET_PX // (grid.block_height * grid.block_width))
     stream = iter(frames)
-    first = prev = next(stream, None)
+    first = next(stream, None)
     consumed = 0 if first is None else 1
+    later = None  # the summary of the last frame read, the earlier frame of the next pair
     while start + consumed < end and (pending := status == CELL_UNSETTLED).any():
         if (frame := next(stream, None)) is None:
             break
         if start + consumed <= resume:
             pending &= again
-        blocks_a = block_view(prev, grid)  # frame 0 is cropped once it has a pair
+        earlier = later or FrameSummary(block_view(first, grid), cfg)  # frame 0 is cropped once it has a pair
         check_size(frame, (first.width, first.height), consumed)
-        blocks_b = block_view(frame, grid)
+        later = FrameSummary(block_view(frame, grid), cfg)
         # Chunks of pending cells in raster order; a chunk may span grid rows.
         static = np.zeros((g, g), dtype=bool)
         rows, cols = np.nonzero(pending)
         for i in range(0, len(rows), per_call):
             r, c = rows[i : i + per_call], cols[i : i + per_call]
-            static[r, c] = score_blocks(blocks_a[r, c], blocks_b[r, c], cfg) < cfg.threshold
-        model_blocks[static] = blocks_b[static]
+            static[r, c] = score_cells(earlier, later, r, c) < cfg.threshold
+        model_blocks[static] = later.blocks[static]
         status[static] = start + consumed
-        prev = frame
         consumed += 1
     done = start + consumed if (status == CELL_UNSETTLED).any() else int(status.max()) + 1
     if done - start < 2:

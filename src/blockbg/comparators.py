@@ -7,8 +7,12 @@ scores 0 for identical blocks, and is symmetric in its arguments. The
 model builder judges a block pair static when its score falls strictly
 below the configured threshold.
 
-Each method scores a stack of block pairs in one call (``score_blocks``);
-``score`` is the one-pair case of the same code.
+Each method is split in two: ``summarize`` reduces each block of a stack
+to what the method compares, and ``compare`` scores two stacks of those
+summaries. ``score_blocks`` and its one-pair case ``score`` compare the
+summaries of two block stacks, and a model build compares those that each
+frame's ``FrameSummary`` keeps, so every score goes through the same
+arithmetic.
 
 The 2-D DCT here is the orthonormal (unitary) DCT-II, computed directly
 as two cosine-matrix multiplications; no transform library is involved.
@@ -99,42 +103,98 @@ def zigzag_indices(height: int, width: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _kept_cells(height: int, width: int, keep: int) -> np.ndarray:
-    """Rows and columns of the block's first ``keep`` zigzag cells, read-only (2, k)."""
+def _kept_basis(height: int, width: int, keep: int) -> tuple[np.ndarray, ...]:
+    """Rows and columns of the block's first ``keep`` zigzag cells, then the
+    DCT basis rows they occupy for its rows and, transposed, its columns;
+    all read-only."""
     # The first keep cells lie on anti-diagonals below keep, so the keep x keep corner holds them.
     cells = np.array(zigzag_indices(min(height, keep), min(width, keep))[:keep], dtype=np.intp).T
     cells.setflags(write=False)
-    return cells
+    rows, cols = cells
+    return rows, cols, _dct_matrix(height)[: rows.max() + 1], _dct_matrix(width)[: cols.max() + 1].T
 
 
-def score_blocks(a, b, cfg: ComparatorConfig) -> np.ndarray:
-    """Scores of n counterpart block pairs stacked as (n, height, width)
-    uint8 pixel arrays, as float64 of shape (n,)."""
-    n, height, width = a.shape
-    area = height * width
-    a, b = a.astype(np.uint8, copy=False), b.astype(np.uint8, copy=False)
+def summarize(blocks, cfg: ComparatorConfig) -> np.ndarray:
+    """Summaries of n blocks stacked as (n, height, width) integers in [0,
+    255]: the pixels as uint8 for absdiff and XOR, each block's entropy in
+    bits, float64 (n,), or its first ``dct_keep`` zigzag DCT coefficients,
+    float64 (n, keep)."""
+    n, height, width = blocks.shape
+    if cfg.method is Method.ENTROPY:
+        # One tally for the stack: block i's gray level v lands in bin i*256+v.
+        bins = blocks.reshape(n, height * width) + 256 * np.arange(n)[:, None]
+        return entropy_bits(np.bincount(bins.ravel(), minlength=256 * n).reshape(n, 256))
+    if cfg.method is Method.DCT:
+        # Only the basis rows and columns that the kept coefficients occupy are applied.
+        rows, cols, basis_h, basis_w = _kept_basis(height, width, cfg.dct_keep)
+        return (basis_h @ blocks.astype(np.float64) @ basis_w)[:, rows, cols]
+    return blocks.astype(np.uint8, copy=False)
+
+
+def compare(a, b, cfg: ComparatorConfig) -> np.ndarray:
+    """Scores of n counterpart pairs of ``summarize`` summaries, as float64 of shape (n,)."""
+    if cfg.method is Method.ENTROPY:
+        return np.abs(a - b)
+    if cfg.method is Method.DCT:
+        # The mean |coefficient difference| over the kept cells. A running sum
+        # adds them left to right for any n, so a block scores the same alone
+        # or in a chunk (mean sums one block pairwise).
+        return np.add.accumulate(np.abs(a - b), axis=-1)[:, -1] / a.shape[1]
+    area = a.shape[1] * a.shape[2]
     if cfg.method is Method.ABSDIFF:
         # A block sums to at most 255 * area, which fits uint32 up to 16,843,009 pixels.
         total = np.uint32 if area <= 16_843_009 else np.uint64
         # An integer sum over the pixel count equals the float64 mean exactly.
         return (np.maximum(a, b) - np.minimum(a, b)).sum(axis=(1, 2), dtype=total) / area
-    if cfg.method is Method.ENTROPY:
-        # One tally for both stacks: block i's gray level v lands in bin i*256+v.
-        bins = np.concatenate((a, b)).reshape(2 * n, area) + 256 * np.arange(2 * n)[:, None]
-        h = entropy_bits(np.bincount(bins.ravel(), minlength=512 * n).reshape(2 * n, 256))
-        return np.abs(h[:n] - h[n:])
-    if cfg.method is Method.XOR:
-        changed = (a >> cfg.xor_shift) ^ (b >> cfg.xor_shift)
-        return np.count_nonzero(changed, axis=(1, 2)) / area
-    # The DCT is linear, so the coefficient differences are the DCT of the
-    # block difference, and only the basis rows and columns that the kept
-    # coefficients occupy are applied. The int16 difference is exact.
-    rows, cols = _kept_cells(height, width, cfg.dct_keep)
-    diff = np.subtract(a, b, dtype=np.int16).astype(np.float64)
-    coeffs = _dct_matrix(height)[: rows.max() + 1] @ diff @ _dct_matrix(width)[: cols.max() + 1].T
-    # A running sum adds the kept cells left to right for any n, so a block
-    # scores the same alone or in a chunk (mean sums one block pairwise).
-    return np.add.accumulate(np.abs(coeffs[:, rows, cols]), axis=-1)[:, -1] / len(rows)
+    changed = (a >> cfg.xor_shift) ^ (b >> cfg.xor_shift)
+    return np.count_nonzero(changed, axis=(1, 2)) / area
+
+
+def score_blocks(a, b, cfg: ComparatorConfig) -> np.ndarray:
+    """Scores of n counterpart block pairs stacked as (n, height, width)
+    arrays of integers in [0, 255], as float64 of shape (n,)."""
+    return compare(summarize(a, cfg), summarize(b, cfg), cfg)
+
+
+class FrameSummary:
+    """The ``summarize`` summaries of one frame's grid cells, ``blocks`` its
+    (g, g, height, width) block view. Entropy and DCT summaries are
+    remembered once computed; absdiff and XOR compare the pixels
+    themselves, gathered on each ask."""
+
+    def __init__(self, blocks: np.ndarray, cfg: ComparatorConfig):
+        self.blocks, self.cfg = blocks, cfg
+        self.known = None if cfg.method in (Method.ABSDIFF, Method.XOR) else np.zeros(blocks.shape[:2], dtype=bool)
+        self.values = None  # the remembered summaries, shaped on the first computation
+
+    def compute(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Summaries of the cells (rows, cols), in that order, computed now."""
+        blocks = self.blocks[rows, cols]
+        if self.known is None:
+            return blocks  # a frame's uint8 pixels, which summarize returns as they are
+        summaries = summarize(blocks, self.cfg)
+        if self.values is None:
+            self.values = np.empty(self.known.shape + summaries.shape[1:])
+        self.values[rows, cols] = summaries
+        self.known[rows, cols] = True
+        return summaries
+
+    def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Summaries of the cells (rows, cols), in that order, computing only those not yet known."""
+        if self.known is None:
+            return self.compute(rows, cols)
+        known = self.known[rows, cols]
+        if np.count_nonzero(known) < len(known):
+            self.compute(rows[~known], cols[~known])
+        return self.values[rows, cols]
+
+
+def score_cells(earlier: FrameSummary, later: FrameSummary, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Scores of the cells (rows, cols) between two frames, as ``score_blocks``
+    scores their blocks. A build compares a pair's cells once, so ``later``
+    computes them; ``earlier`` computes only those it lacks (frame 0's, and
+    those that rejoin a moved build)."""
+    return compare(earlier.take(rows, cols), later.compute(rows, cols), earlier.cfg)
 
 
 def score(a, b, cfg: ComparatorConfig) -> float:

@@ -54,21 +54,21 @@ def scored_pairs(status, built_from) -> set[tuple[int, int, int]]:
     }
 
 
-ScoreCall = namedtuple("ScoreCall", "a scores")
+ScoreCall = namedtuple("ScoreCall", "cells scores")
 
 
 def record_score_calls(mp) -> list[ScoreCall]:
-    """Patch, through the pytest MonkeyPatch ``mp``, the ``score_blocks`` that
-    builds call so that each call's first blocks and scores are appended to
-    the returned list."""
+    """Patch, through the pytest MonkeyPatch ``mp``, the ``score_cells`` that
+    builds call so that each call's cells, as a list of (row, col), and
+    scores are appended to the returned list."""
     calls = []
-    score_blocks = blockbg.background.score_blocks
+    score_cells = blockbg.background.score_cells
 
-    def recording(a, b, cfg):
-        calls.append(ScoreCall(a, score_blocks(a, b, cfg)))
+    def recording(a, b, rows, cols):
+        calls.append(ScoreCall(list(zip(rows.tolist(), cols.tolist())), score_cells(a, b, rows, cols)))
         return calls[-1].scores
 
-    mp.setattr(blockbg.background, "score_blocks", recording)
+    mp.setattr(blockbg.background, "score_cells", recording)
     return calls
 
 

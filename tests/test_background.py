@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import blockbg.background
+import blockbg.comparators
 from blockbg.background import (
     CELL_BACKFILLED,
     CELL_UNSETTLED,
@@ -22,7 +23,7 @@ from blockbg.background import (
 )
 from blockbg.bench import Mover, SceneSpec, gen_scene
 from blockbg.blocks import block_view, make_grid
-from blockbg.comparators import ComparatorConfig, Method, default_config, score
+from blockbg.comparators import ComparatorConfig, Method, default_config, score, score_blocks
 from blockbg.errors import InconsistentSequence, PnmError, SequenceTooShort, ShapeMismatch
 
 from helpers import FIXED, blocks_scored, frame_of, record_score_calls, scored_pairs, texture
@@ -259,7 +260,7 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
         assert built == len(scored_pairs(*want[1:])), method
         # No call scores more blocks than the budget holds, or than one when a block exceeds it.
         per_call = max(1, budget_px // (grid.block_height * grid.block_width))
-        assert all(len(call.a) <= per_call for call in calls), method
+        assert all(len(call.cells) <= per_call for call in calls), method
         fresh = settle_cell_by_cell(frames[shift:], grid, cfg, max_frames)
         status = np.where(fresh[1] >= 0, fresh[1] + shift, fresh[1])
         built_from = (fresh[2][0] + shift, fresh[2][1] + shift)
@@ -295,9 +296,51 @@ def test_a_build_scores_each_pairs_pending_cells_once_in_budget_sized_calls(monk
     for k, (i, j) in enumerate(zip(firsts, [*firsts[1:], len(calls)])):
         # Pair k settles its cells at index k + 1; the cells still pending there were scored.
         pending = (model.cell_status == CELL_UNSETTLED) | (model.cell_status > k)
-        blocks = [call.a for call in calls[i:j]]
-        assert np.array_equal(np.concatenate(blocks), block_view(frames[k], grid)[pending]), k
-        assert len(blocks) <= -(-pending.sum() // per_call), (k, [len(a) for a in blocks])
+        cells = [call.cells for call in calls[i:j]]
+        assert sum(cells, []) == list(zip(*np.nonzero(pending))), k
+        assert len(cells) <= -(-pending.sum() // per_call), (k, [len(c) for c in cells])
+
+
+def test_a_build_and_its_move_summarize_each_frame_cell_once(monkeypatch):
+    # Two movers keep some cells changing past the 6-frame budget, so the
+    # build leaves them unsettled, and the move from frame 2 compares them
+    # again only from pair 5 on, where frame 5's summary lacks them.
+    spec = SceneSpec(64, 48, 12, movers=(Mover(0, 8, 12, 10, 230, 3, 0), Mover(60, 30, 10, 8, 20, -2, 1)),
+                     noise_sigma=5.0, seed=9)
+    frames = gen_scene(spec).frames
+    grid, cfg = make_grid(64, 48, 8), default_config(Method.DCT)
+    calls = record_score_calls(monkeypatch)
+    score_cells, scored = blockbg.background.score_cells, []
+
+    def kept(a, b, rows, cols):
+        scored.append((a.blocks[rows, cols], b.blocks[rows, cols], score_cells(a, b, rows, cols)))
+        return scored[-1][2]
+
+    monkeypatch.setattr(blockbg.background, "score_cells", kept)
+    summarized = []
+    summarize = blockbg.comparators.summarize
+    monkeypatch.setattr(blockbg.comparators, "summarize", lambda blocks, cfg: summarized.append(len(blocks)) or summarize(blocks, cfg))
+
+    def frame_cells(pairs):
+        """The (frame, row, col)s whose summaries the (pair, row, col)s compare."""
+        return {(k + d, r, c) for k, r, c in pairs for d in (0, 1)}
+
+    model = build_srbi(frames, grid, cfg, 6)
+    built = scored_pairs(model.cell_status, model.built_from)
+    assert model.built_from == (0, 6) and (model.cell_status == CELL_UNSETTLED).any()
+    assert sum(summarized) == len(frame_cells(built)) and blocks_scored(calls) == len(built)
+    assert all(summarized), summarized  # no call summarizes an empty stack
+    summarized.clear()
+    window = window_of(grid, frames[:11], 9, model)
+    update_srbi(model, window, cfg)
+    moved = scored_pairs(window.build.cell_status, window.build.built_from) - built
+    assert window.build.built_from[1] > 6 and any(k == 5 and model.cell_status[r, c] == CELL_UNSETTLED for k, r, c in moved)
+    assert sum(summarized) == len(frame_cells(moved))
+    assert all(summarized), summarized
+    monkeypatch.undo()
+    # Each score is score_blocks' on the same blocks, bit for bit.
+    for a, b, got in scored:
+        assert got.tobytes() == score_blocks(a, b, cfg).tobytes()
 
 
 def test_pair_scoring_exactly_the_threshold_leaves_its_cell_unsettled():

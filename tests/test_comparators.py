@@ -10,7 +10,7 @@ import pytest
 from blockbg.comparators import (
     ComparatorConfig,
     _dct_matrix,
-    _kept_cells,
+    _kept_basis,
     Method,
     default_config,
     score,
@@ -243,7 +243,7 @@ def test_zigzag_prefix_lies_in_the_keep_by_keep_corner():
 def test_kept_cells_are_the_blocks_first_zigzag_cells():
     for h, w, keep in ((90, 160, 10), (22, 40, 10), (3, 1, 2), (2, 3, 10), (8, 8, 64), (1, 1, 1)):
         want = np.array(zigzag_indices(h, w)[:keep]).T
-        assert np.array_equal(_kept_cells(h, w, keep), want), (h, w, keep)
+        assert np.array_equal(_kept_basis(h, w, keep)[:2], want), (h, w, keep)
 
 
 def test_dct_keep_past_block_area_scores_every_coefficient():
@@ -425,18 +425,28 @@ def _absdiff_formula(a, b):
 
 
 def _dct_formula(a, b, keep):
-    """The float64 difference through the two truncated basis products; the
-    kept coefficients are then summed left to right, as score_blocks sums
-    them for a stack of any size."""
+    """Each block's kept coefficients through the two truncated basis
+    products of its float64 pixels; the |coefficient differences| are then
+    summed left to right, as score_blocks sums them for a stack of any size."""
     _, h, w = a.shape
     rows, cols = np.array(zigzag_oracle(h, w)[:keep]).T
-    diff = np.subtract(a, b, dtype=np.float64)
-    coeffs = _dct_matrix(h)[: rows.max() + 1] @ diff @ _dct_matrix(w)[: cols.max() + 1].T
-    kept = np.abs(coeffs[:, rows, cols])
+    basis_h, basis_w = _dct_matrix(h)[: rows.max() + 1], _dct_matrix(w)[: cols.max() + 1]
+    ca, cb = ((basis_h @ x.astype(np.float64) @ basis_w.T)[:, rows, cols] for x in (a, b))
+    kept = np.abs(ca - cb)
     total = kept[:, 0]
     for j in range(1, kept.shape[1]):
         total = total + kept[:, j]
     return total / kept.shape[1]
+
+
+def _dct_difference_formula(a, b, keep):
+    """The DCT of the exact int16 block difference, whose kept coefficients
+    equal the coefficient differences up to rounding (the DCT is linear)."""
+    _, h, w = a.shape
+    rows, cols = np.array(zigzag_oracle(h, w)[:keep]).T
+    diff = np.subtract(a, b, dtype=np.int16).astype(np.float64)
+    coeffs = _dct_matrix(h)[: rows.max() + 1] @ diff @ _dct_matrix(w)[: cols.max() + 1].T
+    return np.abs(coeffs[:, rows, cols]).mean(axis=-1)
 
 
 def _random_stacks(seed, count):
@@ -465,10 +475,19 @@ def test_absdiff_kernel_equals_the_int16_formula_bit_for_bit():
         assert score_blocks(a, b, ABSDIFF).tobytes() == _absdiff_formula(a, b).tobytes(), a.shape
 
 
-def test_dct_kernel_equals_the_float64_formula_bit_for_bit():
+def test_dct_kernel_equals_the_coefficient_difference_formula_bit_for_bit():
     for a, b, keep in _random_stacks(7200, 400):
         got = score_blocks(a, b, ComparatorConfig(Method.DCT, 0.0, dct_keep=keep))
         assert got.tobytes() == _dct_formula(a, b, keep).tobytes(), (a.shape, keep)
+
+
+def test_dct_kernel_stays_within_1e_12_of_the_block_difference_formula():
+    # Differencing coefficients rounds where differencing pixels is exact;
+    # measured worst 4.2e-13 relative to max(1, score), as criterion 5 scales it.
+    for a, b, keep in _random_stacks(7200, 400):
+        got = score_blocks(a, b, ComparatorConfig(Method.DCT, 0.0, dct_keep=keep))
+        want = _dct_difference_formula(a, b, keep)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want)), (a.shape, keep)
 
 
 def test_dct_scores_do_not_depend_on_the_stack_they_are_in():
@@ -479,6 +498,8 @@ def test_dct_scores_do_not_depend_on_the_stack_they_are_in():
 
 
 def test_absdiff_of_a_block_past_the_uint32_range_is_exact():
-    # 255 * 4096 * 4200 > 2**32, so a uint32 block sum would wrap.
-    a = np.full((1, 4096, 4200), 255, dtype=np.uint8)
-    assert score_blocks(a, np.zeros_like(a), ABSDIFF).tolist() == [255.0]
+    # 255 * 4096 * 4200 > 2**32, so a uint32 block sum would wrap; so would
+    # 255 * 16,843,010, the first pixel count whose sum can pass 2**32 - 1.
+    for shape in ((1, 4096, 4200), (1, 2, 8_421_505)):
+        a = np.full(shape, 255, dtype=np.uint8)
+        assert score_blocks(a, np.zeros_like(a), ABSDIFF).tolist() == [255.0], shape
