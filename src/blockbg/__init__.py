@@ -30,7 +30,6 @@ from .bench import (
     box_iou,
     evaluate,
     gen_scene,
-    reference_scene,
 )
 from .blocks import (
     BlockGrid,

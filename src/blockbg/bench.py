@@ -183,23 +183,6 @@ def gen_scene(spec: SceneSpec) -> Scene:
     )
 
 
-# The scene the acceptance checks run: two 12x8 movers that enter from
-# opposite edges after the first frames, so a clean model can settle
-# before anything moves through.
-def reference_scene(noise_sigma: float = 0.0, seed: int = 42) -> SceneSpec:
-    return SceneSpec(
-        width=160,
-        height=120,
-        frame_count=60,
-        movers=(
-            Mover(x=-16, y=40, w=12, h=8, intensity=220, dx=2, dy=0),
-            Mover(x=166, y=6, w=12, h=8, intensity=40, dx=-1, dy=1),
-        ),
-        noise_sigma=noise_sigma,
-        seed=seed,
-    )
-
-
 def box_iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
@@ -339,15 +322,13 @@ def truth_boxes_for(
 
 def bench_methods(
     spec: SceneSpec,
-    params: PipelineParams | None = None,
+    params: PipelineParams = PipelineParams(),
     iou_threshold: float = DEFAULT_IOU,
     max_frames: int = DEFAULT_MAX_FRAMES,
     jobs: int = 1,
 ) -> list[BenchRow]:
     """``detect``'s loop per comparator over one scene, model built inline and never rebuilt; ``jobs`` pool threads."""
     configs = [default_config(m) for m in Method]
-    if params is None:
-        params = PipelineParams()
     scene = gen_scene(spec)
 
     def run_one(cfg: ComparatorConfig) -> BenchRow:

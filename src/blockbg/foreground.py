@@ -74,14 +74,13 @@ class ForegroundMask:
         return np.array_equal(self.bits, other.bits)
 
 
-def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT_SHIFT) -> np.ndarray:
+def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT_SHIFT) -> ForegroundMask:
     """Raw per-pixel change map over the cropped extent.
 
     change[p] = 1 iff (model[p] XOR frame[p]) > 2**shift - 1, that is, iff
     the two differ in a bit at or above ``shift``: their buckets differ.
-    Returns a fresh uint8 0/1 array. The model must be fully covered
-    (settled or backfilled everywhere), and the frame is cropped to the
-    model's grid with ``blocks.crop``.
+    The model must be fully covered (settled or backfilled everywhere),
+    and the frame is cropped to the model's grid with ``blocks.crop``.
     """
     if not 0 <= shift <= 7:
         raise ValueError(f"subtract shift must be in [0, 7], got {shift}")
@@ -91,7 +90,7 @@ def subtract(model: BackgroundModel, frame: Frame, shift: int = DEFAULT_SUBTRACT
         )
     change = model.pixels ^ crop(frame, model.grid)
     np.greater(change, (1 << shift) - 1, out=change.view(bool))  # in place, 0/1 bytes
-    return change
+    return ForegroundMask._adopt(change)
 
 
 def _window_sum(a: np.ndarray, r: int, axis: int) -> np.ndarray:
@@ -116,17 +115,15 @@ def _window_sum(a: np.ndarray, r: int, axis: int) -> np.ndarray:
     return out
 
 
-def median_filter_mask(bits: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarray:
-    """Binary median of 0/1 ``bits``: keep a pixel iff strictly more than
-    half its window (clipped to bounds) is set. Even splits resolve to 0.
-    Any other value raises ValueError.
+def median_filter_mask(mask: ForegroundMask, window: int = DEFAULT_WINDOW) -> ForegroundMask:
+    """Binary median of a non-empty mask: keep a pixel iff strictly more
+    than half its window (clipped to bounds) is set. Even splits resolve to 0.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
-    bits = np.asarray(bits)
-    if bits.ndim != 2 or bits.size == 0:
-        raise ValueError("mask bits must be a non-empty 2-D array")
-    _check_bits(bits)
+    bits = mask.bits
+    if not bits.size:
+        raise ValueError("mask must be non-empty")
     r = window // 2
     dtype = np.min_scalar_type(window * window)  # holds any window's count
     ones = _window_sum(_window_sum(bits.astype(dtype, copy=False), r, 0), r, 1)
@@ -135,7 +132,7 @@ def median_filter_mask(bits: np.ndarray, window: int = DEFAULT_WINDOW) -> np.nda
     for band in (np.s_[:r], np.s_[-r:]):  # redo the bands against their clipped windows
         keep[band] = ones[band] > (ny[band, None] * nx) // 2
         keep[:, band] = ones[:, band] > (ny[:, None] * nx[band]) // 2
-    return keep.view(np.uint8)
+    return ForegroundMask._adopt(keep.view(np.uint8))
 
 
 def make_mask(
@@ -145,7 +142,7 @@ def make_mask(
     window: int = DEFAULT_WINDOW,
 ) -> ForegroundMask:
     """subtract + median cleanup in one step."""
-    return ForegroundMask._adopt(median_filter_mask(subtract(model, frame, shift), window))
+    return median_filter_mask(subtract(model, frame, shift), window)
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,8 @@ def validate(obj: DetectedObject, params: HeuristicParams, frame_area: int) -> D
 def classify_all(
     objects: list[DetectedObject],
     frame_area: int,
-    params: HeuristicParams | None = None,
+    params: HeuristicParams = HeuristicParams(),
 ) -> list[DetectedObject]:
     """Label every object, preserving order. Objects are returned as
     labeled copies; inputs are never mutated."""
-    p = params if params is not None else HeuristicParams()
-    return [validate(o, p, frame_area) for o in objects]
+    return [validate(o, params, frame_area) for o in objects]

@@ -1,15 +1,25 @@
 """Small shared builders for the test suite."""
 
+import dataclasses
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 
 import blockbg.background
+import blockbg.pipeline
+from blockbg.bench import SceneSpec, parse_scene_file
 from blockbg.imaging import Frame, save_frame
 
 # Hypothesis settings for every property: a fixed, bounded set of examples.
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+
+def reference_scene(noise_sigma: float) -> SceneSpec:
+    """The acceptance checks' scene, read from its golden file, at ``noise_sigma``."""
+    spec = parse_scene_file(Path(__file__).parent / "golden" / "reference_sigma5.scene")
+    return dataclasses.replace(spec, noise_sigma=noise_sigma)
 
 
 def frame_of(arr) -> Frame:
@@ -75,3 +85,27 @@ def record_score_calls(mp) -> list[ScoreCall]:
 def blocks_scored(calls) -> int:
     """The number of block pairs that the recorded ``calls`` scored."""
     return sum(len(call.scores) for call in calls)
+
+
+Rebuild = namedtuple("Rebuild", "start end old model build scored")
+
+
+def record_rebuilds(mp) -> tuple[list[Rebuild], list[ScoreCall]]:
+    """Patch, through the pytest MonkeyPatch ``mp``, the ``update_srbi`` that
+    ``detect_stream`` calls, and record every score call as
+    ``record_score_calls`` does. Returns the rebuilds and the score calls.
+    Each rebuild holds its window's frames [start, end), the model it was
+    given, the model it returned, the window's build after it and the
+    number of blocks it scored."""
+    rebuilds, calls = [], record_score_calls(mp)
+    update_srbi = blockbg.pipeline.update_srbi
+
+    def recording(model, window, cfg):
+        before = len(calls)
+        got = update_srbi(model, window, cfg)
+        start = window.end - len(window)
+        rebuilds.append(Rebuild(start, window.end, model, got, window.build, blocks_scored(calls[before:])))
+        return got
+
+    mp.setattr(blockbg.pipeline, "update_srbi", recording)
+    return rebuilds, calls

@@ -20,7 +20,6 @@ from blockbg.bench import (
     SceneSpec,
     bench_methods,
     gen_scene,
-    reference_scene,
     write_scene_file,
 )
 from blockbg.blocks import entropy_of
@@ -34,7 +33,7 @@ from blockbg.foreground import (
 from blockbg.imaging import save_frame, Frame
 from blockbg.pipeline import PipelineParams, resolve_grid, run_detection
 
-from helpers import frames_to_reach
+from helpers import frames_to_reach, reference_scene
 from oracles import flood_components, naive_dct2, naive_idct2, naive_median, summarize, zigzag_oracle
 
 
@@ -179,11 +178,12 @@ def test_criterion_07_mask_operators_match_brute_force_oracles():
     for i in range(200):
         gen = np.random.default_rng(3000 + i)
         bits = (gen.random((64, 64)) < densities[i % 3]).astype(np.uint8)
+        mask = ForegroundMask(bits)
         window = windows[i % 2]
         assert np.array_equal(
-            median_filter_mask(bits, window), naive_median(bits, window)
+            median_filter_mask(mask, window).bits, naive_median(bits, window)
         ), (i, window)
-        objs = connected_components(ForegroundMask(bits))
+        objs = connected_components(mask)
         got = sorted(
             (o.x, o.y, o.w, o.h, o.area, o.centroid_x, o.centroid_y) for o in objs
         )

@@ -17,7 +17,6 @@ from blockbg.bench import (
     evaluate,
     gen_scene,
     parse_scene_file,
-    reference_scene,
     truth_boxes_for,
     write_report_csv,
     write_scene_file,
@@ -28,7 +27,7 @@ from blockbg.foreground import DetectedObject, ForegroundMask
 from blockbg.pipeline import PipelineParams, resolve_grid, run_detection
 from blockbg.validation import VEHICLE
 
-from helpers import FIXED, frames_to_reach
+from helpers import FIXED, frames_to_reach, reference_scene
 
 # --- counter-based random streams ---
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockbg.blocks import (
+    GRID_CHOICES,
     BlockGrid,
     block_view,
     entropy_bits,
@@ -103,6 +104,8 @@ def test_grid_band_edges():
     assert grid_for_delta(0.199999) == 16
     assert grid_for_delta(0.2) == 32
     assert grid_for_delta(1.0) == 32
+    # The automatic rule picks every grid a fixed --grid may name, and no other.
+    assert {grid_for_delta(d) for d in (0.0, 0.1, 1.0)} == set(GRID_CHOICES)
 
 
 def test_grid_is_monotone_in_delta():
@@ -113,8 +116,9 @@ def test_grid_is_monotone_in_delta():
 
 def test_grid_custom_bands():
     assert grid_for_delta(0.3, low=0.25, high=0.5) == 16
-    with pytest.raises(ValueError):
-        grid_for_delta(0.1, low=0.5, high=0.2)
+    for low, high in ((0.5, 0.2), (0.2, 0.2)):  # equal bands leave no g=16 band
+        with pytest.raises(ValueError):
+            grid_for_delta(0.1, low=low, high=high)
     with pytest.raises(ValueError):
         grid_for_delta(0.1, low=0.0, high=0.2)
 
@@ -145,10 +149,11 @@ def test_select_grid_middle_band():
 
 
 def test_select_grid_rejects_dimension_mismatch():
-    a = frame_of(texture(71, 16, 16))
+    a = frame_of(texture(71, 16, 24))
     b = frame_of(texture(72, 20, 20))
-    with pytest.raises(InconsistentSequence):
+    with pytest.raises(InconsistentSequence, match="frame 1 is 20x20, expected 24x16") as err:
         select_grid(a, b)
+    assert err.value.index == 1
 
 
 # --- grid geometry ---
@@ -182,6 +187,7 @@ def test_make_grid_invariants_hold():
 
 
 def test_make_grid_frame_too_small():
+    assert make_grid(8, 8, 8) == BlockGrid(8, 8, 8, 1, 1)  # the smallest frame g=8 splits
     with pytest.raises(FrameTooSmall):
         make_grid(7, 100, 8)
     with pytest.raises(FrameTooSmall):

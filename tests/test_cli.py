@@ -12,7 +12,7 @@ import pytest
 
 import blockbg.cli
 import blockbg.imaging
-from blockbg.background import CELL_UNSETTLED, backfill, build_srbi, coverage, load_model, update_srbi
+from blockbg.background import CELL_UNSETTLED, backfill, build_srbi, coverage, load_model
 from blockbg.bench import Mover, SceneSpec, gen_scene, write_scene_file
 from blockbg.blocks import make_grid
 from blockbg.cli import main
@@ -21,7 +21,7 @@ from blockbg.foreground import DEFAULT_WINDOW, mask_to_frame
 from blockbg.imaging import load_frame
 from blockbg.pipeline import PipelineParams, run_detection
 
-from helpers import blocks_scored, record_score_calls, texture, write_frames
+from helpers import blocks_scored, record_rebuilds, texture, write_frames
 
 
 def run(capsys, *argv):
@@ -289,22 +289,13 @@ def test_detect_sliding_rebuilds_match_rebuilding_from_scratch(tmp_path, capsys,
 @pytest.mark.parametrize("max_frames", ("150", "4"))
 def test_detect_rebuilds_score_each_frame_pair_once(tmp_path, capsys, monkeypatch, max_frames):
     d, frames = sliding_scene(tmp_path)
-    calls = record_score_calls(monkeypatch)
-    rebuilt = []  # cells each rebuild scored
-
-    def counting_update(*args, **kwargs):
-        before = len(calls)
-        model = update_srbi(*args, **kwargs)
-        rebuilt.append(blocks_scored(calls[before:]))
-        return model
-
-    monkeypatch.setattr("blockbg.pipeline.update_srbi", counting_update)
+    rebuilds, _ = record_rebuilds(monkeypatch)
     code, _, _ = run(
         capsys, "detect", "--input", str(d), "--model-frames", "3", "--max-frames", max_frames,
         "--rebuild-every", "1", "--method", "dct", "--grid", "8", "--out-dir", str(tmp_path / "out"),
     )
-    assert code == 0 and len(rebuilt) == len(frames) - 2
-    assert sum(rebuilt) <= 8 * 8 * (len(frames) - 1)
+    assert code == 0 and len(rebuilds) == len(frames) - 2
+    assert sum(r.scored for r in rebuilds) <= 8 * 8 * (len(frames) - 1)
 
 
 def test_detect_rebuilds_reuse_the_inline_builds_scores(tmp_path, capsys, monkeypatch):
@@ -314,24 +305,15 @@ def test_detect_rebuilds_reuse_the_inline_builds_scores(tmp_path, capsys, monkey
     d = tmp_path / "frames"
     d.mkdir()
     write_frames(d, [f.pixels for f in gen_scene(spec).frames])
-    calls = record_score_calls(monkeypatch)
-    inline, rebuilt = [], []  # cells scored by the inline build, by each rebuild
-
-    def counting_update(*args, **kwargs):
-        if not inline:
-            inline.append(blocks_scored(calls))
-        before = len(calls)
-        model = update_srbi(*args, **kwargs)
-        rebuilt.append(blocks_scored(calls[before:]))
-        return model
-
-    monkeypatch.setattr("blockbg.pipeline.update_srbi", counting_update)
+    rebuilds, calls = record_rebuilds(monkeypatch)
     code, _, stderr = run(
         capsys, "detect", "--input", str(d), "--model-frames", "12", "--max-frames", "150",
         "--rebuild-every", "2", "--method", "dct", "--grid", "8", "--out-dir", str(tmp_path / "out"),
     )
+    rebuilt = [r.scored for r in rebuilds]
+    inline = blocks_scored(calls) - sum(rebuilt)  # the inline build scored the rest
     assert code == 0 and "backfilled" not in stderr  # the inline build settled every cell
-    assert inline[0] > 0 and len(rebuilt) == 5
+    assert inline > 0 and len(rebuilt) == 5
     assert rebuilt == [0] * 5
 
 

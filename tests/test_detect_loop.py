@@ -28,7 +28,7 @@ from blockbg.imaging import Frame, load_frame
 from blockbg.pipeline import PipelineParams, build_model, detect_stream
 from blockbg.validation import VEHICLE
 
-from helpers import FIXED, blocks_scored, record_score_calls, scored_pairs, texture, write_frames
+from helpers import FIXED, blocks_scored, record_rebuilds, scored_pairs, texture, write_frames
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,12 +52,7 @@ def test_detect_stream_holds_only_the_rebuild_window(monkeypatch):
             refs.append(weakref.ref(frame))
             yield frame
 
-    rebuilds = []
-    update_srbi = blockbg.pipeline.update_srbi
-    monkeypatch.setattr(
-        blockbg.pipeline, "update_srbi", lambda *a, **k: rebuilds.append(1) or update_srbi(*a, **k)
-    )
-    calls = record_score_calls(monkeypatch)
+    rebuilds, calls = record_rebuilds(monkeypatch)
     frames = stream()
     params, cfg = PipelineParams(grid=8), default_config(Method.DCT)
     pulled = []
@@ -96,17 +91,8 @@ def test_each_rebuild_is_a_build_over_its_window_and_no_pair_cell_is_scored_twic
 ):
     frames = gen_scene(spec).frames
     params, cfg = PipelineParams(grid=8), default_config(method)
-    rebuilds = []  # (window start, window end, old model, result, the window's build after it)
-    update_srbi = blockbg.pipeline.update_srbi
-
-    def recording(model, window, cfg):
-        got = update_srbi(model, window, cfg)
-        rebuilds.append((window.end - len(window), window.end, model, got, window.build))
-        return got
-
     with pytest.MonkeyPatch.context() as mp:
-        calls = record_score_calls(mp)
-        mp.setattr(blockbg.pipeline, "update_srbi", recording)
+        rebuilds, calls = record_rebuilds(mp)
         model = build_model(frames[:model_frames], params, cfg, max_frames)
         for _ in detect_stream(model, frames, params, cfg, max_frames, rebuild_every, build=model):
             pass
@@ -115,7 +101,7 @@ def test_each_rebuild_is_a_build_over_its_window_and_no_pair_cell_is_scored_twic
     union = scored_pairs(inline.cell_status, inline.built_from)
     reach = inline.built_from[1]  # the furthest frame a build has read
     assert len(rebuilds) == sum(1 for i in range(2, len(frames)) if i % rebuild_every == 0)
-    for start, end, old, got, build in rebuilds:
+    for start, end, old, got, build, _ in rebuilds:
         want = build_srbi(frames[start:end], grid, cfg, end - start)
         status = np.where(want.cell_status >= 0, want.cell_status + start, want.cell_status)
         built_from = (start, start + want.built_from[1])

@@ -44,8 +44,9 @@ def model_of(arr, g=4):
 def test_subtract_identity_is_all_zero():
     base = texture(30, 32, 32)
     change = subtract(model_of(base), frame_of(base))
-    assert change.shape == (32, 32)
-    assert not change.any()
+    assert isinstance(change, ForegroundMask)
+    assert change.bits.shape == (32, 32)
+    assert not change.bits.any()
 
 
 def test_subtract_flags_exactly_the_changed_patch():
@@ -55,15 +56,15 @@ def test_subtract_flags_exactly_the_changed_patch():
     change = subtract(model_of(base), frame_of(frame))
     expected = np.zeros((32, 32), dtype=np.uint8)
     expected[10:16, 12:20] = 1
-    assert np.array_equal(change, expected)
+    assert change == ForegroundMask(expected)
 
 
 def test_subtract_ignores_changes_within_a_bucket():
     # 72 and 120 share bucket 1 at shift 6 but split at shift 3
     model = model_of(np.full((16, 16), 72, dtype=np.uint8))
     frame = frame_of(np.full((16, 16), 120, dtype=np.uint8))
-    assert not subtract(model, frame, shift=6).any()
-    assert subtract(model, frame, shift=3).all()
+    assert not subtract(model, frame, shift=6).bits.any()
+    assert subtract(model, frame, shift=3).bits.all()
 
 
 def test_subtract_matches_per_pixel_oracle():
@@ -72,7 +73,7 @@ def test_subtract_matches_per_pixel_oracle():
         b = texture(200 + seed, 16, 16, lo=0, hi=256)
         model = model_of(a)
         for shift in (3, 6):
-            got = subtract(model, frame_of(b), shift)
+            got = subtract(model, frame_of(b), shift).bits
             want = ((a >> shift) != (b >> shift)).astype(np.uint8)
             assert np.array_equal(got, want), (seed, shift)
     # Every (model, frame) intensity pair at every shift.
@@ -80,7 +81,7 @@ def test_subtract_matches_per_pixel_oracle():
     b = a.T
     model, frame = model_of(a), frame_of(b)
     for shift in range(8):
-        got = subtract(model, frame, shift)
+        got = subtract(model, frame, shift).bits
         want = ((a >> shift) != (b >> shift)).astype(np.uint8)
         assert got.dtype == np.uint8 and np.array_equal(got, want), shift
         assert not np.shares_memory(got, model.pixels)
@@ -100,7 +101,7 @@ def test_subtract_requires_full_coverage():
         subtract(partial, frame_of(base))
     # backfilled counts as covered
     filled = backfill(partial, frame_of(base))
-    assert subtract(filled, frame_of(base)).shape == (16, 16)
+    assert subtract(filled, frame_of(base)).bits.shape == (16, 16)
 
 
 def test_subtract_windows_larger_frames_and_rejects_smaller():
@@ -108,7 +109,7 @@ def test_subtract_windows_larger_frames_and_rejects_smaller():
     model = model_of(base)
     big = np.full((32, 32), 255, dtype=np.uint8)
     big[:16, :16] = base
-    assert not subtract(model, frame_of(big)).any()
+    assert not subtract(model, frame_of(big)).bits.any()
     with pytest.raises(ShapeMismatch):
         subtract(model_of(texture(33, 32, 32)), frame_of(base))
 
@@ -127,13 +128,13 @@ def test_subtract_validates_shift():
 def test_median_removes_isolated_salt():
     bits = np.zeros((16, 16), dtype=np.uint8)
     bits[5, 7] = 1
-    assert not median_filter_mask(bits).any()
+    assert not median_filter_mask(ForegroundMask(bits)).bits.any()
 
 
 def test_median_erodes_square_corners():
     bits = np.zeros((16, 16), dtype=np.uint8)
     bits[4:9, 6:11] = 1  # 5x5 solid square
-    out = median_filter_mask(bits)
+    out = median_filter_mask(ForegroundMask(bits)).bits
     assert int(out.sum()) == 21  # the four corners go
     for y, x in ((4, 6), (4, 10), (8, 6), (8, 10)):
         assert out[y, x] == 0
@@ -144,36 +145,24 @@ def test_median_resolves_ties_to_zero():
     bits = np.zeros((16, 16), dtype=np.uint8)
     bits[0, 0] = bits[0, 1] = 1
     # the corner window holds 4 pixels, 2 of them set: an even split
-    assert median_filter_mask(bits)[0, 0] == 0
+    assert median_filter_mask(ForegroundMask(bits)).bits[0, 0] == 0
 
 
 def test_median_preserves_constant_masks():
     zeros = np.zeros((16, 16), dtype=np.uint8)
     ones = np.ones((16, 16), dtype=np.uint8)
-    assert not median_filter_mask(zeros).any()
-    assert median_filter_mask(ones).all()
+    assert not median_filter_mask(ForegroundMask(zeros)).bits.any()
+    assert median_filter_mask(ForegroundMask(ones)).bits.all()
 
 
 def test_median_rejects_bad_windows():
-    bits = np.zeros((16, 16), dtype=np.uint8)
+    mask = ForegroundMask(np.zeros((16, 16), dtype=np.uint8))
     for bad in (0, 1, 2, 4):
         with pytest.raises(ValueError):
-            median_filter_mask(bits, window=bad)
-    for bad in (np.zeros((0, 4), dtype=np.uint8), np.zeros(4, dtype=np.uint8)):
-        with pytest.raises(ValueError, match="non-empty 2-D"):
-            median_filter_mask(bad)
-
-
-def test_median_rejects_values_other_than_0_and_1():
-    # A 0/255 mask counted as values would come back with a 3x3 block set.
-    bits = np.zeros((5, 5), dtype=np.uint8)
-    bits[2, 2] = 255
-    with pytest.raises(ValueError, match="mask bits must be 0 or 1, got 255"):
-        median_filter_mask(bits)
-    for bad in (-1, 0.5, np.nan):
-        with pytest.raises(ValueError, match="mask bits must be 0 or 1"):
-            median_filter_mask(np.full((5, 5), bad))
-    assert median_filter_mask(np.ones((5, 5), dtype=bool)).all()
+            median_filter_mask(mask, window=bad)
+    for shape in ((0, 4), (4, 0)):  # a 1-D mask fails ForegroundMask's own check
+        with pytest.raises(ValueError, match="mask must be non-empty"):
+            median_filter_mask(ForegroundMask(np.zeros(shape, dtype=np.uint8)))
 
 
 def test_median_matches_double_loop_oracle():
@@ -182,7 +171,7 @@ def test_median_matches_double_loop_oracle():
         p = 0.3 if trial % 2 == 0 else 0.5
         bits = (rng.random((64, 64)) < p).astype(np.uint8)
         window = 3 if trial % 3 else 5
-        got = median_filter_mask(bits, window)
+        got = median_filter_mask(ForegroundMask(bits), window).bits
         assert np.array_equal(got, naive_median(bits, window)), (trial, window)
     # Windows wider than the mask clip their shifted slices; on 40x40, a
     # 17-wide window holds 289 pixels, more than a uint8 count can.
@@ -190,7 +179,7 @@ def test_median_matches_double_loop_oracle():
         for window in (7, 17):
             for p in (0.3, 0.5, 0.7):
                 bits = (rng.random(shape) < p).astype(np.uint8)
-                got = median_filter_mask(bits, window)
+                got = median_filter_mask(ForegroundMask(bits), window).bits
                 assert np.array_equal(got, naive_median(bits, window)), (shape, window, p)
 
 
@@ -208,8 +197,8 @@ def test_median_matches_the_oracle_on_drawn_masks(shape, p, seed, window):
     # narrow masks, wide windows and dense rows test that correction.
     bits = (np.random.default_rng(seed).random(shape) < p).astype(np.uint8)
     want = naive_median(bits, window)
-    assert np.array_equal(median_filter_mask(bits, window), want)
-    assert np.array_equal(median_filter_mask(bits.astype(bool), window), want)
+    assert np.array_equal(median_filter_mask(ForegroundMask(bits), window).bits, want)
+    assert np.array_equal(median_filter_mask(ForegroundMask(bits.astype(bool)), window).bits, want)
 
 
 # --- make_mask ---
@@ -245,8 +234,8 @@ def test_make_mask_ignores_sensor_noise():
 
 
 def test_make_mask_keeps_the_median_output(monkeypatch):
-    # make_mask adopts the fresh array median_filter_mask returns, and calls
-    # both stages through the module's names, where the tracer wraps them.
+    # make_mask returns the mask median_filter_mask made, and calls both
+    # stages through the module's names, where the tracer wraps them.
     returned = {"subtract": [], "median_filter_mask": []}
     for name, seen in returned.items():
         def record(*args, real=getattr(foreground, name), seen=seen):
@@ -256,7 +245,7 @@ def test_make_mask_keeps_the_median_output(monkeypatch):
     base = texture(49, 32, 32)
     mask = make_mask(model_of(base), frame_of(255 - base))
     assert [len(seen) for seen in returned.values()] == [1, 1]
-    assert np.shares_memory(mask.bits, returned["median_filter_mask"][0])
+    assert mask is returned["median_filter_mask"][0]
     assert mask.bits.any() and not mask.bits.flags.writeable
 
 
@@ -272,6 +261,12 @@ def test_mask_validates_and_freezes_bits():
     for bad in (0.5, np.int32(256), np.nan, 1.7, -1):
         with pytest.raises(ValueError, match="0 or 1"):
             ForegroundMask(np.full((2, 2), bad))
+    # A 0/255 mask counted as values would come out of the median with a 3x3 block set.
+    bits = np.zeros((5, 5), dtype=np.uint8)
+    bits[2, 2] = 255
+    with pytest.raises(ValueError, match="mask bits must be 0 or 1, got 255"):
+        ForegroundMask(bits)
+    assert median_filter_mask(ForegroundMask(np.ones((5, 5), dtype=bool))).bits.all()
     assert ForegroundMask(np.zeros((0, 3))).bits.shape == (0, 3)  # empty masks stay legal
     assert ForegroundMask(np.eye(2, dtype=bool)) == ForegroundMask(np.eye(2))
     src = np.zeros((4, 4), dtype=np.uint8)
@@ -280,6 +275,8 @@ def test_mask_validates_and_freezes_bits():
     assert mask.bits[0, 0] == 0
     assert mask == ForegroundMask(np.zeros((4, 4), dtype=np.uint8))
     assert mask != ForegroundMask(np.ones((4, 4), dtype=np.uint8))
+    # Another type, even one holding the same values, is never equal.
+    assert (mask == mask.bits.tolist()) is False and (mask != mask.bits.tolist()) is True
 
 
 # --- connected components ---
@@ -556,6 +553,7 @@ def test_made_buffers_are_read_only_and_share_no_caller_memory(tmp_path):
         "load_frame P5": load_frame(tmp_path / "f.pgm").pixels,
         "load_frame P6": load_frame(tmp_path / "f.ppm").pixels,
         "prefilter median3": prefilter(frame, "median3").pixels,
+        "subtract": subtract(model, frame).bits,
         "make_mask": mask.bits,
         "mask_to_frame": mask_to_frame(fortran_mask).pixels,
         "frame_to_mask": frame_to_mask(mask_to_frame(mask)).bits,

@@ -44,9 +44,9 @@ def test_frame_minimum_dimension():
 
 
 def test_frame_rejects_out_of_range_ints():
-    bad = np.full((16, 16), 300, dtype=np.int32)
-    with pytest.raises(ValueError):
-        Frame(bad)
+    for value in (300, 256, -1):
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            Frame(np.full((16, 16), value, dtype=np.int32))
 
 
 def test_frame_rejects_floats():
@@ -58,6 +58,9 @@ def test_frame_accepts_wider_int_dtypes():
     f = Frame(np.full((16, 16), 200, dtype=np.int64))
     assert f.pixels.dtype == np.uint8
     assert int(f.pixels[0, 0]) == 200
+    ends = np.zeros((16, 16), dtype=np.int64)
+    ends[0, 0] = 255  # both ends of the range are accepted
+    assert np.array_equal(Frame(ends).pixels, ends)
 
 
 def test_frame_pixels_are_frozen():
@@ -71,6 +74,9 @@ def test_frame_copies_its_input():
     f = Frame(src)
     src[0, 0] ^= 0xFF
     assert f.pixels[0, 0] != src[0, 0]
+    assert f == Frame(texture(1, 16, 16))
+    # Another type, even one holding the same values, is never equal.
+    assert (f == f.pixels.tolist()) is False and (f != f.pixels.tolist()) is True
 
 
 # --- PGM/PPM codec ---
@@ -112,12 +118,14 @@ def test_ppm_luma_endpoints(tmp_path):
     rgb[0, 0] = (255, 255, 255)
     rgb[0, 1] = (0, 0, 0)
     rgb[0, 2] = (255, 0, 0)
+    rgb[0, 3] = (1, 43, 0)
     path = tmp_path / "c.ppm"
     write_p6(path, rgb)
     f = load_frame(path)
     assert int(f.pixels[0, 0]) == 255
     assert int(f.pixels[0, 1]) == 0
     assert int(f.pixels[0, 2]) == 77  # (77*255 + 128) >> 8
+    assert int(f.pixels[0, 3]) == 25  # 77 + 150*43 + 128 = 25*256 + 255: one more would round up
 
 
 def test_ppm_luma_matches_formula(tmp_path):
@@ -166,6 +174,7 @@ def test_header_comments_are_tolerated(tmp_path):
     for header in (
         b"P5\n# width and height\n16 # inline\n16\n# maxval next\n255\n",
         b"P5 16#c\n16\n255\n",  # a comment also ends the field before it
+        b"P5#c\n16 16\n255\n",  # and separates the magic from the width
     ):
         path.write_bytes(header + px.tobytes())
         assert np.array_equal(load_frame(path).pixels, px)
@@ -364,6 +373,7 @@ def test_median3_commutes_with_monotone_remap():
 def test_prefilter_none_is_identity():
     f = frame_of(texture(13, 16, 16))
     assert prefilter(f, "none") is f
+    assert prefilter(f) is f  # the default
 
 
 def test_prefilter_unknown_kind():

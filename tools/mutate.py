@@ -42,6 +42,8 @@ EQUIVALENT = {
         "_check_bits: 0/1 input then takes the slow check, which accepts it too",
     ("src/blockbg/foreground.py", 107, 10, "1 -> 2"):
         "_window_sum: dst[:2] is overwritten by the next line's dst[1:]",
+    ("src/blockbg/imaging.py", 221, 62, "256 -> 257"):
+        "_median3: any pad value above 255 sorts after every pixel",
     ("src/blockbg/background.py", 34, 20, "2 -> 3"):
         "CELL_BACKFILLED: any negative code but CELL_UNSETTLED's does; sidecars store the name",
     ("src/blockbg/background.py", 40, 19, "1 -> 2"):
