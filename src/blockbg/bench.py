@@ -30,8 +30,8 @@ from .errors import SceneSpecError
 from .foreground import DetectedObject, ForegroundMask
 from .imaging import Frame
 from .keyvalue import decimal_float, decimal_int, read_key_values
-from .pipeline import PipelineParams, build_model, detect_stream
-from .validation import VEHICLE, validate
+from .pipeline import PipelineParams, build_model, detect_stream, label_objects
+from .validation import VEHICLE
 
 # Reference detection accuracy of the original four-method evaluation,
 # best to worst. Only the ordering is meaningful here.
@@ -175,7 +175,7 @@ def gen_scene(spec: SceneSpec) -> Scene:
             canvas = canvas + spec.noise_sigma * z
         px = np.clip(np.rint(canvas), 0.0, 255.0).astype(np.uint8)
         frames.append(Frame(px))
-        truths.append(ForegroundMask(truth))
+        truths.append(ForegroundMask._adopt(truth))
     return Scene(
         frames=frames,
         truth_masks=truths,
@@ -294,8 +294,8 @@ def truth_boxes_for(
 ) -> list[list[tuple[int, int, int, int]]]:
     """Per-frame clipped mover boxes, gated like predictions are.
 
-    Truth boxes the detector is configured to reject (too small, or a
-    solid rectangle the heuristic labels non-vehicle) are not scoring
+    Truth boxes that ``detect_frame``'s gate rejects (below the area floor,
+    or a solid rectangle ``label_objects`` labels non-vehicle) are not scoring
     targets, otherwise every mover entering the frame edge would charge
     the method an unavoidable miss during its sliver frames.
     """
@@ -303,20 +303,10 @@ def truth_boxes_for(
     min_area = params.resolved_min_area(frame_area)
     out = []
     for t in range(spec.frame_count):
-        boxes = []
-        for mover in spec.movers:
-            rect = _clip_rect(*mover.rect_at(t), grid_w, grid_h)
-            if rect is None:
-                continue
-            x0, y0, x1, y1 = rect
-            w, h = x1 - x0, y1 - y0
-            solid = DetectedObject(x0, y0, w, h, w * h, 0.0, 0.0)
-            if solid.area >= min_area and (
-                not params.validate
-                or validate(solid, params.heuristic, frame_area).label == VEHICLE
-            ):
-                boxes.append(solid.bbox)
-        out.append(boxes)
+        rects = filter(None, (_clip_rect(*m.rect_at(t), grid_w, grid_h) for m in spec.movers))  # on screen
+        solids = [DetectedObject(x0, y0, x1 - x0, y1 - y0, (x1 - x0) * (y1 - y0), 0.0, 0.0) for x0, y0, x1, y1 in rects]
+        kept = label_objects([o for o in solids if o.area >= min_area], frame_area, params)
+        out.append([o.bbox for o in kept if o.label == VEHICLE])
     return out
 
 
@@ -392,9 +382,9 @@ def parse_scene_file(path) -> SceneSpec:
     """Read a key=value scene description.
 
     Keys: width, height, frames, sigma, seed, each at most once, and one
-    ``mover=`` line per mover with values x,y,w,h,intensity,dx,dy. ``#``
-    starts a comment. An unknown or repeated key, a bad value and a bad
-    mover name their line.
+    ``mover=`` line per mover with values x,y,w,h,intensity,dx,dy. A ``#``
+    at a line's start or after whitespace starts a comment. An unknown or
+    repeated key, a bad value and a bad mover name their line.
     """
     fields: dict[str, int | float] = {}
     movers: list[Mover] = []

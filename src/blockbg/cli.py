@@ -8,7 +8,7 @@ subcommand's own flag placed before the command line's flags, so flags win
 and a file value passes the same checks as a flag; ``None`` leaves an
 option without a default unset. The effective configuration is echoed to a
 text file next to the primary output, which passed back as ``--config``
-reproduces the run exactly.
+reproduces the run exactly (unless a value holds a ``#`` after whitespace).
 """
 
 from __future__ import annotations

@@ -76,7 +76,6 @@ def default_config(method: Method | str) -> ComparatorConfig:
     return ComparatorConfig(method=method, threshold=DEFAULT_THRESHOLDS[method])
 
 
-@lru_cache(maxsize=None)
 def _dct_matrix(n: int) -> np.ndarray:
     # Orthonormal DCT-II basis, C @ C.T == I: a block's 2-D DCT is C_h @ block @ C_w.T.
     k = np.arange(n)[:, None].astype(np.float64)

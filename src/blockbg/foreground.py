@@ -22,18 +22,6 @@ DEFAULT_WINDOW = 3
 DEFAULT_MIN_AREA_FRAC = 0.001
 
 
-def _check_bits(bits: np.ndarray) -> None:
-    """Raise ValueError unless every value of the non-empty ``bits`` is 0 or 1."""
-    # For integers the extremes decide, and for unsigned ones a maximum of at
-    # most 1 alone; other dtypes may hold a 0.5 between.
-    if bits.dtype.kind in "bu" and bits.max() <= 1:
-        return
-    values = (bits.min(), bits.max()) if bits.dtype.kind in "biu" else np.unique(bits)
-    for v in values:
-        if v != 0 and v != 1:
-            raise ValueError(f"mask bits must be 0 or 1, got {v}")
-
-
 @dataclass(frozen=True, eq=False)
 class ForegroundMask:
     """Binary change map over the model's cropped extent (uint8 0/1)."""
@@ -45,8 +33,9 @@ class ForegroundMask:
         if arr.ndim != 2:
             raise ValueError("mask bits must be a 2-D array")
         if copy:
-            if arr.size:
-                _check_bits(arr)
+            bad = (arr != 0) & (arr != 1)  # NaN too
+            if bad.any():
+                raise ValueError(f"mask bits must be 0 or 1, got {arr[bad][0]}")
             arr = arr.astype(np.uint8, order="C")  # always a row-major copy
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)

@@ -103,11 +103,13 @@ _FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*([^\s#]*)")  # separators, then one hea
 def _read_header(data: bytes):
     """Parse a P5/P6 header; returns (magic, width, height, payload offset).
 
-    Whitespace-separated fields with ``#`` comments running to end of line,
-    exactly one whitespace byte after the maxval, payload after that.
+    Whitespace or a ``#`` comment (to end of line) right after the magic and
+    between fields, exactly one whitespace byte after the maxval, payload after that.
     """
     if data[:2] not in (b"P5", b"P6"):
         raise PnmError("malformed header: not a binary PGM/PPM (P5/P6) file")
+    if not (data[2:3].isspace() or data[2:3] == b"#"):
+        raise PnmError("malformed header: expected whitespace or '#' after the magic")
     magic = data[:2].decode("ascii")
     fields, pos = [], 2
     for _ in range(3):

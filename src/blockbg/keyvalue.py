@@ -8,6 +8,7 @@ from pathlib import Path
 
 from .errors import PipelineError
 
+_COMMENT = re.compile(r"(?:^|\s)#")  # a '#' that opens a line or follows whitespace
 _FLOAT = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|-?inf|nan")
 
 
@@ -28,8 +29,9 @@ def decimal_float(text: str) -> float:
 
 def read_key_values(path, error: type[PipelineError], where: str) -> list[tuple[int, str, str]]:
     """(line number, key, value) for each ``key=value`` line of a UTF-8 file,
-    skipping ``#`` comments and blank lines. A byte that is not UTF-8 or a
-    line without ``=`` raises ``error``, naming the line as ``where N``."""
+    skipping blank lines and comments, from a ``#`` at a line's start or after
+    whitespace (``pattern=f#%03d.pgm`` keeps its ``#``). A byte that is not
+    UTF-8 or a line without ``=`` raises ``error``, naming it as ``where N``."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -40,7 +42,7 @@ def read_key_values(path, error: type[PipelineError], where: str) -> list[tuple[
         raise error(f"{where} {ln}: byte 0x{data[exc.start]:02x} is not UTF-8") from exc
     entries = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

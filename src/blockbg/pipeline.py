@@ -83,6 +83,13 @@ def resolve_grid(frames: list[Frame], params: PipelineParams) -> BlockGrid:
     return make_grid(frames[0].width, frames[0].height, g)
 
 
+def label_objects(objects: list[DetectedObject], cropped_area: int, params: PipelineParams) -> list[DetectedObject]:
+    """Labeled copies of a frame's objects: by the heuristic, or all vehicles without ``params.validate``."""
+    if params.validate:
+        return classify_all(objects, cropped_area, params.heuristic)
+    return [o.labeled(VEHICLE, 1.0) for o in objects]
+
+
 def detect_frame(
     model: BackgroundModel, frame: Frame, params: PipelineParams
 ) -> tuple[ForegroundMask, list[DetectedObject]]:
@@ -90,11 +97,7 @@ def detect_frame(
     mask = make_mask(model, frame, params.subtract_shift, params.window)
     cropped_area = mask.width * mask.height
     objects = connected_components(mask, params.resolved_min_area(cropped_area))
-    if params.validate:
-        objects = classify_all(objects, cropped_area, params.heuristic)
-    else:
-        objects = [o.labeled(VEHICLE, 1.0) for o in objects]
-    return mask, objects
+    return mask, label_objects(objects, cropped_area, params)
 
 
 def run_detection(

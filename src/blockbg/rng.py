@@ -80,16 +80,13 @@ def inv_norm_cdf(p: np.ndarray) -> np.ndarray:
     hi = p > 1.0 - _P_LOW
     mid = ~(lo | hi)
 
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        z[mid] = q * num / den
-    if lo.any():
-        z[lo] = _tail(p[lo])
-    if hi.any():
-        z[hi] = -_tail(1.0 - p[hi])  # the normal is symmetric about 0
+    q = p[mid] - 0.5
+    r = q * q
+    num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
+    den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
+    z[mid] = q * num / den
+    z[lo] = _tail(p[lo])
+    z[hi] = -_tail(1.0 - p[hi])  # the normal is symmetric about 0
     return z
 
 

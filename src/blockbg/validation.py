@@ -39,8 +39,7 @@ _RAMP = 0.1  # relative width of the edge ramp
 
 def _edge_ramp(x: float, lo: float, hi: float | None) -> float:
     """1.0 comfortably inside [lo, hi]; linear to 0 at either edge."""
-    s = 1.0
-    s = min(s, (x - lo) / (_RAMP * lo))
+    s = (x - lo) / (_RAMP * lo)
     if hi is not None:
         s = min(s, (hi - x) / (_RAMP * hi))
     return max(0.0, min(1.0, s))

@@ -307,6 +307,22 @@ def test_evaluate_scores_whole_frame_truth_over_the_extent_both_masks_cover():
     assert m.pixel_recall > 0.9 and m.tp > 0
 
 
+def test_truth_boxes_go_through_the_detectors_object_gate():
+    movers = (
+        Mover(2, 2, 3, 5, 200, 0, 0),  # 15 pixels, below min_area
+        Mover(10, 2, 4, 4, 200, 0, 0),  # 16 pixels, at min_area
+        Mover(2, 20, 40, 5, 200, 0, 0),  # a solid 8:1 rectangle, labeled non-vehicle
+        Mover(100, 2, 8, 8, 200, 0, 0),  # off-screen
+        Mover(-4, 40, 10, 8, 200, 0, 0),  # cut by the frame's left edge
+        Mover(50, 30, 10, 6, 200, 0, 0),  # cut by the 56-pixel grid's right edge
+    )
+    spec = SceneSpec(64, 64, 2, movers)
+    gated = [(10, 2, 4, 4), (0, 40, 6, 8), (50, 30, 6, 6)]
+    assert truth_boxes_for(spec, 56, 56, PipelineParams(min_area=16)) == [gated, gated]
+    labeled_all = [(10, 2, 4, 4), (2, 20, 40, 5), (0, 40, 6, 8), (50, 30, 6, 6)]
+    assert truth_boxes_for(spec, 56, 56, PipelineParams(min_area=16, validate=False)) == [labeled_all] * 2
+
+
 def _matches_over_every_overlapping_pair(objs, boxes, iou_threshold):
     """An independent statement of the match rule: assign greedily over
     every overlapping pair, best IoU first, and count an assigned pair only
@@ -508,6 +524,13 @@ def test_scene_file_errors_name_the_line(tmp_path):
         parse_scene_file(path)
     path.write_text("width=32\nheight=32\nframes=4\nseed=18446744073709551616\n")
     with pytest.raises(SceneSpecError, match="seed must be in"):
+        parse_scene_file(path)
+
+
+def test_a_hash_inside_a_scene_value_is_text_not_a_comment(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_text("width=64#c\nheight=32\nframes=4\n")
+    with pytest.raises(SceneSpecError, match="^line 1: bad width value: '64#c' is not a decimal integer"):
         parse_scene_file(path)
 
 

@@ -556,6 +556,25 @@ def test_echoed_config_reproduces_the_run(tmp_path, capsys):
         assert outputs[0] == outputs[1], name
 
 
+def test_an_echoed_pattern_holding_a_hash_reproduces_the_run(tmp_path, capsys):
+    # A '#' that neither opens a line nor follows whitespace is part of the
+    # value, so the echo of a run over f#000.pgm, f#001.pgm, ... replays it.
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_frames(frames, [texture(60, 32, 32)] * 3, pattern="f#%03d.pgm")
+    first, again = tmp_path / "first", tmp_path / "again"
+    first.mkdir()
+    again.mkdir()
+    code, stdout, _ = run(capsys, "model", "--input", str(frames), "--out", str(first / "m.pgm"), "--pattern", "f#%03d.pgm")
+    assert code == 0
+    assert echo_dict(first / "m.pgm.config.txt")["pattern"] == "f#%03d.pgm"
+    echo = str(first / "m.pgm.config.txt")
+    assert run(capsys, "model", "--input", str(frames), "--out", str(again / "m.pgm"), "--config", echo)[:2] == (0, stdout)
+    outputs = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (first, again)]
+    assert sorted(outputs[0]) == ["m.pgm", "m.pgm.cells", "m.pgm.config.txt"]
+    assert outputs[0] == outputs[1]
+
+
 def test_config_file_sets_every_option_including_required_ones(tmp_path, capsys):
     # Each golden command with all its flags moved into a config file writes
     # the same bytes as with the flags on the command line.

@@ -252,6 +252,13 @@ def test_make_mask_keeps_the_median_output(monkeypatch):
 # --- mask container ---
 
 
+def test_a_mask_names_its_first_value_that_is_not_0_or_1():
+    with pytest.raises(ValueError, match="^mask bits must be 0 or 1, got 3$"):
+        ForegroundMask(np.array([[0, 1, 3], [2, -1, 1]]))
+    with pytest.raises(ValueError, match="got 0.5$"):
+        ForegroundMask(np.array([[1.0, 1.0], [0.5, np.nan]]))
+
+
 def test_mask_validates_and_freezes_bits():
     with pytest.raises(ValueError):
         ForegroundMask(np.full((4, 4), 2, dtype=np.uint8))

@@ -187,6 +187,17 @@ def test_rejects_wrong_magic(tmp_path):
         load_frame(path)
 
 
+def test_rejects_a_magic_run_into_the_width(tmp_path):
+    # Read as fields, "P516 16" would be a 16x16 frame.
+    path = tmp_path / "000000.pgm"
+    path.write_bytes(b"P516 16\n255\n" + b"\x00" * 256)
+    with pytest.raises(PnmError, match="^malformed header: expected whitespace or '#' after the magic$"):
+        load_frame(path)
+    write_frames(tmp_path, [texture(4, 16, 16)], start=1)
+    with pytest.raises(PnmError, match="000000.pgm: malformed header: expected whitespace or '#' after the magic"):
+        list(load_sequence(tmp_path))
+
+
 def test_rejects_nondecimal_header(tmp_path):
     path = tmp_path / "x.pgm"
     path.write_bytes(b"P5\nsixteen 16\n255\n" + b"\x00" * 256)
