@@ -3,13 +3,13 @@
 The model is assembled block by block: counterpart blocks of adjacent
 frames are compared, and when a cell is judged static its pixels are
 committed verbatim from the later frame of the pair. Each pair scores the
-still unsettled cells in raster order, in chunks of about SCORE_BUDGET_PX
-pixels per call, and each cell settles at most once; building stops when
-every cell has settled or the frame budget runs out. A frame's cells are
-summarized when first compared (see ``FrameSummary``), and a pair's later
-frame keeps its summaries for the next pair. Rebuilds move one
-build along a stream's last frames (see ``RebuildWindow``), so each pair's
-cells are scored at most once per stream.
+still unsettled cells in raster order, in one ``score_cells`` call, and
+each cell settles at most once; building stops when every cell has settled
+or the frame budget runs out. A frame's cells are summarized when first
+compared (see ``FrameSummary``), and a pair's later frame keeps its
+summaries for the next pair. Rebuilds move one build along a stream's last
+frames (see ``RebuildWindow``), so each pair's cells are scored at most
+once per stream.
 
 Cell status bookkeeping: a cell is either unsettled, settled at a frame
 index (the later frame of the agreeing pair), or backfilled from a
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import zip_longest
 from pathlib import Path
 
@@ -34,10 +35,6 @@ CELL_UNSETTLED = -1
 CELL_BACKFILLED = -2
 
 DEFAULT_MAX_FRAMES = 150
-
-# Pixels per score_cells call: enough cells to amortize the call, few
-# enough to bound its temporaries (about one g = 8 row of a 720p frame).
-SCORE_BUDGET_PX = 1 << 16
 
 _SIDECAR_SUFFIX = ".cells"
 
@@ -88,7 +85,7 @@ def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorC
     index only inside the window, and an unsettled or backfilled cell failed
     every pair before e - 1, so only the cells that settled before ``start``
     are compared again from it; the unsettled ones join them at pair e - 1."""
-    grid, g = build.grid, build.grid.g
+    grid = build.grid
     status = build.cell_status.copy()
     pixels = build.pixels.copy()  # an unread build's pixels are a zero view, so this starts all 0
     model_blocks = block_view(pixels, grid)
@@ -97,7 +94,6 @@ def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorC
     model_blocks[~kept & (status != CELL_UNSETTLED)] = 0  # an unsettled cell's pixels are 0
     status[~kept] = CELL_UNSETTLED
     resume = build.built_from[1] - 1  # the first pair the build's unsettled cells were not compared on
-    per_call = max(1, SCORE_BUDGET_PX // (grid.block_height * grid.block_width))
     stream = iter(frames)
     first = next(stream, None)
     consumed = 0 if first is None else 1
@@ -110,14 +106,12 @@ def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorC
         earlier = later or FrameSummary(block_view(first, grid), cfg)  # frame 0 is cropped once it has a pair
         check_size(frame, (first.width, first.height), consumed)
         later = FrameSummary(block_view(frame, grid), cfg)
-        # Chunks of pending cells in raster order; a chunk may span grid rows.
-        static = np.zeros((g, g), dtype=bool)
-        rows, cols = np.nonzero(pending)
-        for i in range(0, len(rows), per_call):
-            r, c = rows[i : i + per_call], cols[i : i + per_call]
-            static[r, c] = score_cells(earlier, later, r, c) < cfg.threshold
-        model_blocks[static] = later.blocks[static]
-        status[static] = start + consumed
+        rows, cols = np.nonzero(pending)  # raster order
+        if len(rows):  # a moved build may have no cell to compare before resume
+            static = score_cells(earlier, later, rows, cols) < cfg.threshold
+            rows, cols = rows[static], cols[static]
+            model_blocks[rows, cols] = later.blocks[rows, cols]
+            status[rows, cols] = start + consumed
         consumed += 1
     done = start + consumed if (status == CELL_UNSETTLED).any() else int(status.max()) + 1
     if done - start < 2:
@@ -175,6 +169,12 @@ _STATUS_CODES = {name: code for code, name in _STATUS_NAMES.items()}
 _SETTLE_MAX = int(np.iinfo(np.int32).max)  # the largest settle index cell_status holds
 
 
+@cache
+def _cell_prefixes(g: int) -> tuple[str, ...]:
+    """The ``row col `` start of each of a g x g grid's sidecar cell lines, row-major."""
+    return tuple(f"{i // g} {i % g} " for i in range(g * g))
+
+
 def _sidecar_text(g: int, built_from: tuple[int, int], codes: list[int]) -> str:
     """A '.cells' sidecar: a header line, the grid, the ``built_from`` range,
     then a line ``row col status settle_index`` for each of the g*g row-major
@@ -183,7 +183,7 @@ def _sidecar_text(g: int, built_from: tuple[int, int], codes: list[int]) -> str:
     # Most cells share a few codes, so each code's line end is formatted once.
     ends = {code: f"{_STATUS_NAMES.get(code, 'settled')} {max(code, -1)}\n" for code in set(codes)}
     parts = [""] * (2 * g * g)
-    parts[0::2] = [f"{i // g} {i % g} " for i in range(g * g)]
+    parts[0::2] = _cell_prefixes(g)
     parts[1::2] = map(ends.__getitem__, codes)
     return f"# srbi cells v1\n# grid {g}\n# built_from {built_from[0]} {built_from[1]}\n" + "".join(parts)
 

@@ -12,7 +12,8 @@ to what the method compares, and ``compare`` scores two stacks of those
 summaries. ``score_blocks`` and its one-pair case ``score`` compare the
 summaries of two block stacks, and a model build compares those that each
 frame's ``FrameSummary`` keeps, so every score goes through the same
-arithmetic.
+arithmetic. ``SCORE_BUDGET_PX`` sizes the block stacks that a build hands
+to the kernels; it changes no score.
 
 The 2-D DCT here is the orthonormal (unitary) DCT-II, computed directly
 as two cosine-matrix multiplications; no transform library is involved.
@@ -51,6 +52,11 @@ DEFAULT_THRESHOLDS: dict[Method, float] = {
 
 DEFAULT_XOR_SHIFT = 3
 DEFAULT_DCT_KEEP = 10
+
+# Pixels per block stack that a build summarizes or compares in one kernel
+# call: enough blocks to amortize the call, few enough to bound its
+# temporaries (about one g = 8 row of a 720p frame).
+SCORE_BUDGET_PX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -159,29 +165,34 @@ class FrameSummary:
     """The ``summarize`` summaries of one frame's grid cells, ``blocks`` its
     (g, g, height, width) block view. Entropy and DCT summaries are
     remembered once computed; absdiff and XOR compare the pixels
-    themselves, gathered on each ask."""
+    themselves, gathered on each ask. Cells go to the kernels in slices of
+    ``per_slice``, the blocks that fit SCORE_BUDGET_PX (at least one)."""
 
     def __init__(self, blocks: np.ndarray, cfg: ComparatorConfig):
         self.blocks, self.cfg = blocks, cfg
+        self.per_slice = max(1, SCORE_BUDGET_PX // (blocks.shape[2] * blocks.shape[3]))
         self.known = None if cfg.method in (Method.ABSDIFF, Method.XOR) else np.zeros(blocks.shape[:2], dtype=bool)
         self.values = None  # the remembered summaries, shaped on the first computation
 
+    def slices(self, rows: np.ndarray, cols: np.ndarray):
+        """The cells (rows, cols) in order, as (rows, cols) slices of at most ``per_slice``."""
+        for i in range(0, len(rows), self.per_slice):
+            yield rows[i : i + self.per_slice], cols[i : i + self.per_slice]
+
     def compute(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Summaries of the cells (rows, cols), in that order, computed now."""
-        blocks = self.blocks[rows, cols]
-        if self.known is None:
-            return blocks  # a frame's uint8 pixels, which summarize returns as they are
-        summaries = summarize(blocks, self.cfg)
-        if self.values is None:
-            self.values = np.empty(self.known.shape + summaries.shape[1:])
-        self.values[rows, cols] = summaries
+        """Entropy or DCT summaries of the non-empty cells (rows, cols), in
+        that order, computed now a slice at a time."""
+        for r, c in self.slices(rows, cols):
+            summaries = summarize(self.blocks[r, c], self.cfg)
+            if self.values is None:
+                self.values = np.empty(self.known.shape + summaries.shape[1:])
+            self.values[r, c] = summaries
         self.known[rows, cols] = True
-        return summaries
+        return summaries if len(summaries) == len(rows) else self.values[rows, cols]
 
     def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Summaries of the cells (rows, cols), in that order, computing only those not yet known."""
-        if self.known is None:
-            return self.compute(rows, cols)
+        """Entropy or DCT summaries of the non-empty cells (rows, cols), in
+        that order, computing only those not yet known."""
         known = self.known[rows, cols]
         if np.count_nonzero(known) < len(known):
             self.compute(rows[~known], cols[~known])
@@ -189,11 +200,16 @@ class FrameSummary:
 
 
 def score_cells(earlier: FrameSummary, later: FrameSummary, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Scores of the cells (rows, cols) between two frames, as ``score_blocks``
-    scores their blocks. A build compares a pair's cells once, so ``later``
-    computes them; ``earlier`` computes only those it lacks (frame 0's, and
-    those that rejoin a moved build)."""
-    return compare(earlier.take(rows, cols), later.compute(rows, cols), earlier.cfg)
+    """Scores of the non-empty cells (rows, cols) between two frames, as
+    ``score_blocks`` scores their blocks. A build compares a pair's cells
+    once, so ``later`` computes their summaries; ``earlier`` computes only
+    those it lacks (frame 0's, and those that rejoin a moved build). Pixels
+    are compared a slice at a time, summaries all at once."""
+    cfg = earlier.cfg
+    if earlier.known is not None:
+        return compare(earlier.take(rows, cols), later.compute(rows, cols), cfg)
+    scores = [compare(earlier.blocks[r, c], later.blocks[r, c], cfg) for r, c in earlier.slices(rows, cols)]
+    return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
 
 def score(a, b, cfg: ComparatorConfig) -> float:

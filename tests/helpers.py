@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import settings
 
 import blockbg.background
+import blockbg.comparators
 import blockbg.pipeline
 from blockbg.bench import SceneSpec, parse_scene_file
 from blockbg.imaging import Frame, save_frame
@@ -80,6 +81,28 @@ def record_score_calls(mp) -> list[ScoreCall]:
 
     mp.setattr(blockbg.background, "score_cells", recording)
     return calls
+
+
+def record_block_stacks(mp) -> list[int]:
+    """Patch, through the pytest MonkeyPatch ``mp``, the comparator kernels
+    that take stacks of blocks, ``summarize`` and ``compare`` of absdiff and
+    XOR pixels, so that each call's number of blocks is appended to the
+    returned list."""
+    stacks = []
+    summarize, compare = blockbg.comparators.summarize, blockbg.comparators.compare
+
+    def summarizing(blocks, cfg):
+        stacks.append(len(blocks))
+        return summarize(blocks, cfg)
+
+    def comparing(a, b, cfg):
+        if a.ndim == 3:  # pixels; entropy and DCT summaries have fewer axes
+            stacks.append(len(a))
+        return compare(a, b, cfg)
+
+    mp.setattr(blockbg.comparators, "summarize", summarizing)
+    mp.setattr(blockbg.comparators, "compare", comparing)
+    return stacks
 
 
 def blocks_scored(calls) -> int:

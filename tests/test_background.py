@@ -26,7 +26,7 @@ from blockbg.blocks import block_view, make_grid
 from blockbg.comparators import ComparatorConfig, Method, default_config, score, score_blocks
 from blockbg.errors import InconsistentSequence, PnmError, SequenceTooShort, ShapeMismatch
 
-from helpers import FIXED, blocks_scored, frame_of, record_score_calls, scored_pairs, texture
+from helpers import FIXED, blocks_scored, frame_of, record_block_stacks, record_score_calls, scored_pairs, texture
 from oracles import settle_cell_by_cell
 
 ABSDIFF = default_config(Method.ABSDIFF)
@@ -212,8 +212,9 @@ def window_of(grid, frames, maxlen=None, build=None):
     return window
 
 
-# Budgets as (k, d) for k * block area + d pixels: one cell per call, one
-# either side of a block's area, and 2 or 7 cells, so chunks end mid-row.
+# Budgets as (k, d) for k * block area + d pixels: one block per kernel
+# call, one either side of a block's area, and 2 or 7 blocks, so slices end
+# mid-row.
 BUDGETS = ((0, 1), (1, -1), (1, 0), (1, 1), (3, -1), (7, 1))
 
 
@@ -240,8 +241,9 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
             cfg = ComparatorConfig(method, pair[len(pair) // 2])
         want = settle_cell_by_cell(frames, grid, cfg, max_frames)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(blockbg.background, "SCORE_BUDGET_PX", budget_px)
+            mp.setattr(blockbg.comparators, "SCORE_BUDGET_PX", budget_px)
             calls = record_score_calls(mp)
+            stacks = record_block_stacks(mp)
             model = build_srbi(frames, grid, cfg, max_frames)
             built = blocks_scored(calls)
             # The build moved to frames[shift:], as many as max_frames allows.
@@ -258,9 +260,9 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
         assert np.array_equal(model.cell_status, want[1]), method
         assert model.built_from == want[2], method
         assert built == len(scored_pairs(*want[1:])), method
-        # No call scores more blocks than the budget holds, or than one when a block exceeds it.
-        per_call = max(1, budget_px // (grid.block_height * grid.block_width))
-        assert all(len(call.cells) <= per_call for call in calls), method
+        # No kernel call takes more blocks than the budget holds, or than one when a block exceeds it.
+        per_slice = max(1, budget_px // (grid.block_height * grid.block_width))
+        assert stacks and max(stacks) <= per_slice, method
         fresh = settle_cell_by_cell(frames[shift:], grid, cfg, max_frames)
         status = np.where(fresh[1] >= 0, fresh[1] + shift, fresh[1])
         built_from = (fresh[2][0] + shift, fresh[2][1] + shift)
@@ -276,12 +278,14 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
         assert truncated.built_from == head[2], method
 
 
-def test_a_build_scores_each_pairs_pending_cells_once_in_budget_sized_calls(monkeypatch):
+def test_a_build_scores_each_pairs_pending_cells_in_one_call(monkeypatch):
+    # At 320x240 and g = 32, a block is 7x10, so the default budget holds 936
+    # of them: pair 0's one call summarizes each frame's 1024 cells in two slices.
     spec = SceneSpec(320, 240, 12, movers=(Mover(10, 20, 40, 30, 230, 9, 2), Mover(300, 150, 30, 20, 25, -7, 0)),
                      noise_sigma=5.0, seed=4)
     grid = make_grid(320, 240, 32)
-    per_call = blockbg.background.SCORE_BUDGET_PX // (grid.block_height * grid.block_width)
     calls = record_score_calls(monkeypatch)
+    stacks = record_block_stacks(monkeypatch)
     firsts = []  # the index in calls of each pair's first call
 
     def pulled(frames):
@@ -293,18 +297,18 @@ def test_a_build_scores_each_pairs_pending_cells_once_in_budget_sized_calls(monk
     frames = gen_scene(spec).frames
     model = build_srbi(pulled(frames), grid, default_config(Method.DCT))
     assert len(firsts) == model.built_from[1] - 1 > 2
+    assert stacks[:4] == [936, 88, 936, 88], stacks[:4]
     for k, (i, j) in enumerate(zip(firsts, [*firsts[1:], len(calls)])):
         # Pair k settles its cells at index k + 1; the cells still pending there were scored.
         pending = (model.cell_status == CELL_UNSETTLED) | (model.cell_status > k)
-        cells = [call.cells for call in calls[i:j]]
-        assert sum(cells, []) == list(zip(*np.nonzero(pending))), k
-        assert len(cells) <= -(-pending.sum() // per_call), (k, [len(c) for c in cells])
+        assert [call.cells for call in calls[i:j]] == [list(zip(*np.nonzero(pending)))], k
 
 
 def test_a_build_and_its_move_summarize_each_frame_cell_once(monkeypatch):
     # Two movers keep some cells changing past the 6-frame budget, so the
     # build leaves them unsettled, and the move from frame 2 compares them
-    # again only from pair 5 on, where frame 5's summary lacks them.
+    # again only from pair 5 on, where frame 5's summary lacks them. A budget
+    # of three 8x6 blocks splits each pair's cells into several slices.
     spec = SceneSpec(64, 48, 12, movers=(Mover(0, 8, 12, 10, 230, 3, 0), Mover(60, 30, 10, 8, 20, -2, 1)),
                      noise_sigma=5.0, seed=9)
     frames = gen_scene(spec).frames
@@ -317,9 +321,8 @@ def test_a_build_and_its_move_summarize_each_frame_cell_once(monkeypatch):
         return scored[-1][2]
 
     monkeypatch.setattr(blockbg.background, "score_cells", kept)
-    summarized = []
-    summarize = blockbg.comparators.summarize
-    monkeypatch.setattr(blockbg.comparators, "summarize", lambda blocks, cfg: summarized.append(len(blocks)) or summarize(blocks, cfg))
+    monkeypatch.setattr(blockbg.comparators, "SCORE_BUDGET_PX", 3 * 48 + 47)
+    summarized = record_block_stacks(monkeypatch)  # DCT compares no pixels, so these are summarize's
 
     def frame_cells(pairs):
         """The (frame, row, col)s whose summaries the (pair, row, col)s compare."""
@@ -329,14 +332,14 @@ def test_a_build_and_its_move_summarize_each_frame_cell_once(monkeypatch):
     built = scored_pairs(model.cell_status, model.built_from)
     assert model.built_from == (0, 6) and (model.cell_status == CELL_UNSETTLED).any()
     assert sum(summarized) == len(frame_cells(built)) and blocks_scored(calls) == len(built)
-    assert all(summarized), summarized  # no call summarizes an empty stack
+    assert min(summarized) > 0 and max(summarized) == 3, summarized  # no empty stack, none past the budget
     summarized.clear()
     window = window_of(grid, frames[:11], 9, model)
     update_srbi(model, window, cfg)
     moved = scored_pairs(window.build.cell_status, window.build.built_from) - built
     assert window.build.built_from[1] > 6 and any(k == 5 and model.cell_status[r, c] == CELL_UNSETTLED for k, r, c in moved)
     assert sum(summarized) == len(frame_cells(moved))
-    assert all(summarized), summarized
+    assert min(summarized) > 0 and max(summarized) <= 3, summarized
     monkeypatch.undo()
     # Each score is score_blocks' on the same blocks, bit for bit.
     for a, b, got in scored:

@@ -43,25 +43,21 @@ EQUIVALENT = {
         "_window_sum: dst[:2] is overwritten by the next line's dst[1:]",
     ("src/blockbg/imaging.py", 223, 62, "256 -> 257"):
         "_median3: any pad value above 255 sorts after every pixel",
-    ("src/blockbg/background.py", 34, 20, "2 -> 3"):
+    ("src/blockbg/background.py", 35, 20, "2 -> 3"):
         "CELL_BACKFILLED: any negative code but CELL_UNSETTLED's does; sidecars store the name",
-    ("src/blockbg/background.py", 40, 19, "1 -> 2"):
-        "SCORE_BUDGET_PX only sizes the score calls; results hold for any budget",
-    ("src/blockbg/background.py", 40, 24, "16 -> 17"):
-        "SCORE_BUDGET_PX only sizes the score calls; results hold for any budget",
-    ("src/blockbg/background.py", 82, 116, "0 -> 1"):
+    ("src/blockbg/background.py", 79, 116, "0 -> 1"):
         "_unread: no code reads the start of an unread build's built_from",
-    ("src/blockbg/background.py", 82, 119, "0 -> 1"):
+    ("src/blockbg/background.py", 79, 119, "0 -> 1"):
         "_unread: resume = end - 1 = 0 stays below every pair a build reads",
-    ("src/blockbg/background.py", 95, 24, ">= -> >"):
+    ("src/blockbg/background.py", 92, 24, ">= -> >"):
         "_move: a build never settles a cell at index 0, and load_model rejects one",
-    ("src/blockbg/background.py", 95, 24, "0 -> 1"):
+    ("src/blockbg/background.py", 92, 24, "0 -> 1"):
         "_move: a build never settles a cell at index 0, and load_model rejects one",
     ("src/blockbg/background.py", 230, 23, "0 -> 1"):
         "load_model: a malformed line 3 fails against any placeholder range",
-    ("src/blockbg/comparators.py", 98, 52, "1 -> 2"):
+    ("src/blockbg/comparators.py", 104, 52, "1 -> 2"):
         "zigzag_indices: NumPy's reshape infers a size given as -2 as it does -1",
-    ("src/blockbg/comparators.py", 145, 38, "<= -> <"):
+    ("src/blockbg/comparators.py", 151, 38, "<= -> <"):
         "compare: at exactly 16,843,009 pixels a uint64 sum gives the same exact mean",
 }
 
