@@ -27,6 +27,12 @@ def _region(frame_or_block) -> np.ndarray:
     return np.asarray(frame_or_block)
 
 
+def entropy_terms(p: np.ndarray) -> np.ndarray:
+    """-p * log2(p) of each float64 share in ``p``, 0 where p is 0: the
+    terms that ``entropy_bits`` sums."""
+    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0))
+
+
 def entropy_bits(counts) -> np.ndarray:
     """Shannon entropy in bits, -sum(p * log2(p)) over occupied levels, of
     each gray-level tally along the last axis of ``counts``.
@@ -35,9 +41,7 @@ def entropy_bits(counts) -> np.ndarray:
     and a uniform occupancy of all 256 levels scores exactly 8.
     """
     counts = np.asarray(counts)
-    p = counts / counts.sum(axis=-1, keepdims=True)
-    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
-    return -(p * log_p).sum(axis=-1) + 0.0  # normalize -0.0
+    return entropy_terms(counts / counts.sum(axis=-1, keepdims=True)).sum(axis=-1) + 0.0  # normalize -0.0
 
 
 def entropy_of(frame_or_block) -> float:

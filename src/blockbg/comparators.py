@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocks import entropy_bits
+from .blocks import entropy_terms
 from .errors import ShapeMismatch
 from .imaging import check_intensities
 
@@ -119,6 +119,15 @@ def _kept_basis(height: int, width: int, keep: int) -> tuple[np.ndarray, ...]:
     return rows, cols, _dct_matrix(height)[: rows.max() + 1], _dct_matrix(width)[: cols.max() + 1].T
 
 
+@lru_cache(maxsize=None)
+def _entropy_table(area: int) -> np.ndarray:
+    """The entropy term of each count 0..area of a level in a block of
+    ``area`` pixels, read-only; a block's entropy sums its levels' terms."""
+    table = entropy_terms(np.arange(area + 1) / area)
+    table.setflags(write=False)
+    return table
+
+
 def summarize(blocks, cfg: ComparatorConfig) -> np.ndarray:
     """Summaries of n blocks stacked as (n, height, width) integers in [0,
     255]: the pixels as uint8 for absdiff and XOR, each block's entropy in
@@ -127,8 +136,10 @@ def summarize(blocks, cfg: ComparatorConfig) -> np.ndarray:
     n, height, width = blocks.shape
     if cfg.method is Method.ENTROPY:
         # One tally for the stack: block i's gray level v lands in bin i*256+v.
-        bins = blocks.reshape(n, height * width) + 256 * np.arange(n)[:, None]
-        return entropy_bits(np.bincount(bins.ravel(), minlength=256 * n).reshape(n, 256))
+        keys = blocks.reshape(n, height * width).astype(np.intp)
+        keys += 256 * np.arange(n)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=256 * n).reshape(n, 256)
+        return _entropy_table(height * width)[counts].sum(axis=-1) + 0.0  # as entropy_bits sums them
     if cfg.method is Method.DCT:
         # Only the basis rows and columns that the kept coefficients occupy are applied.
         rows, cols, basis_h, basis_w = _kept_basis(height, width, cfg.dct_keep)

@@ -132,12 +132,13 @@ def _read_header(data: bytes):
 def load_frame(path) -> Frame:
     """Load a binary PGM (P5) or PPM (P6) file as a grayscale Frame.
 
-    The file is read once; a PGM Frame keeps its payload as a view of the
-    bytes read, unless the file holds more than the payload. PPM pixels
-    are reduced with the integer luma weighting
-    ``(77*R + 150*G + 29*B + 128) >> 8``.
+    The file is read once, unbuffered and to its end, so a FIFO reads
+    whole. A PGM Frame keeps its payload as a view of the bytes read,
+    unless the file holds more than the payload. PPM pixels are reduced
+    with the integer luma weighting ``(77*R + 150*G + 29*B + 128) >> 8``.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     magic, width, height, pos = _read_header(data)
     channels = 1 if magic == "P5" else 3
     need = width * height * channels

@@ -1,12 +1,13 @@
 """Brute-force references for the pipeline's stages, one copy of each.
 
 Each is written from its stage's definition: the DCT from its four nested
-sums, the zigzag order from its anti-diagonals, the median by counting
-each pixel's window and connected components by flood fill, none of them
-sharing code with the package; the SRBI by settling one cell at a time
-with the package's one-pair ``score``, which the comparator tests check
-on their own. Unit tests and the acceptance gate compare against these,
-so two checks of one stage cannot drift apart.
+sums, the zigzag order from its anti-diagonals, subtraction by comparing
+each pixel's buckets, the median by counting each pixel's window and
+connected components by flood fill, none of them sharing code with the
+package; the SRBI by settling one cell at a time with the package's
+one-pair ``score``, which the comparator tests check on their own. Unit
+tests and the acceptance gate compare against these, so two checks of one
+stage cannot drift apart.
 """
 
 import math
@@ -60,6 +61,12 @@ def zigzag_oracle(height: int, width: int):
         diag = [(r, d - r) for r in range(height) if 0 <= d - r < width]
         order.extend(reversed(diag) if d % 2 == 0 else diag)
     return order
+
+
+def naive_subtract(model_px, frame_px, shift):
+    """Change map of two pixel arrays: 1 where a pixel's model and frame
+    intensities lie in different buckets of 2**shift levels, else 0."""
+    return ((model_px >> shift) != (frame_px >> shift)).astype(np.uint8)
 
 
 def naive_median(bits, window):

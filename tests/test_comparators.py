@@ -10,14 +10,16 @@ import pytest
 from blockbg.comparators import (
     ComparatorConfig,
     _dct_matrix,
+    _entropy_table,
     _kept_basis,
     Method,
     default_config,
     score,
     score_blocks,
+    summarize,
     zigzag_indices,
 )
-from blockbg.blocks import block_view, make_grid
+from blockbg.blocks import GRID_CHOICES, block_view, entropy_bits, make_grid
 from blockbg.errors import ShapeMismatch
 
 from helpers import frame_of, texture
@@ -108,6 +110,48 @@ def test_entropy_score_is_blind_to_permutations():
     b = shuffled.reshape(8, 8)
     assert not np.array_equal(a, b)
     assert score(a, b, ENTROPY) == 0.0
+
+
+# Block areas of the golden scenes (64x48, 160x120) and the benchmark's
+# workloads (320x240, 1280x720) at each grid, 2 to 14,400 pixels.
+BLOCK_AREAS = sorted(
+    {
+        grid.block_width * grid.block_height
+        for w, h in ((64, 48), (160, 120), (320, 240), (1280, 720))
+        for grid in (make_grid(w, h, g) for g in GRID_CHOICES)
+    }
+)
+
+
+@pytest.mark.parametrize("area", BLOCK_AREAS)
+def test_entropy_table_sums_as_entropy_bits_bit_for_bit(area):
+    # Every count 0..area of a level, with the rest of the block on a second
+    # level, then random tallies; the table's terms summed over a block's 256
+    # levels must be entropy_bits' sum to the last bit.
+    table = _entropy_table(area)
+    assert table.shape == (area + 1,) and not table.flags.writeable
+    k = np.arange(area + 1)
+    rng = np.random.default_rng(area)
+    random = rng.multinomial(area, rng.dirichlet(np.full(256, 0.3), 200))
+    for levels in ((0, 1), (255, 7)):
+        tallies = np.zeros((area + 1, 256), dtype=np.intp)
+        tallies[:, levels[0]], tallies[:, levels[1]] = k, area - k
+        for t in (tallies, random):
+            assert (table[t].sum(axis=-1) + 0.0).tobytes() == entropy_bits(t).tobytes()
+
+
+def test_entropy_summaries_are_each_blocks_entropy_bits():
+    # Random blocks of every area above, as uint8 and as int64; the stack's
+    # one tally must count each block apart and leave the caller's array as it is.
+    rng = np.random.default_rng(7400)
+    for area in BLOCK_AREAS:
+        for n in (1, 3, 17):
+            a = rng.integers(0, 256, (n, 1, area)) >> rng.integers(0, 8, (n, 1, 1))
+            for stack in (a.astype(np.uint8), a):
+                kept = stack.copy()
+                want = [entropy_bits(np.bincount(block.ravel(), minlength=256)) for block in stack]
+                assert summarize(stack, ENTROPY).tobytes() == np.array(want).tobytes(), (area, n)
+                assert np.array_equal(stack, kept)
 
 
 # --- xor ---
@@ -495,6 +539,12 @@ def test_dct_scores_do_not_depend_on_the_stack_they_are_in():
         cfg = ComparatorConfig(Method.DCT, 0.0, dct_keep=keep)
         alone = np.concatenate([score_blocks(a[i : i + 1], b[i : i + 1], cfg) for i in range(len(a))])
         assert score_blocks(a, b, cfg).tobytes() == alone.tobytes(), (a.shape, keep)
+
+
+def test_entropy_scores_do_not_depend_on_the_stack_they_are_in():
+    for a, b, _ in _random_stacks(7500, 60):
+        alone = np.concatenate([score_blocks(a[i : i + 1], b[i : i + 1], ENTROPY) for i in range(len(a))])
+        assert score_blocks(a, b, ENTROPY).tobytes() == alone.tobytes(), a.shape
 
 
 def test_absdiff_of_a_block_past_the_uint32_range_is_exact():

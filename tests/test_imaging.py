@@ -1,5 +1,8 @@
 """Frame type, netpbm codec, sequence loading, median prefilter."""
 
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -166,6 +169,33 @@ def test_load_frame_keeps_no_bytes_past_the_payload(tmp_path):
     assert frame.pixels.flags.owndata and not frame.pixels.flags.writeable
     path.write_bytes(image)
     assert not load_frame(path).pixels.flags.owndata
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_load_frame_reads_a_fifo_whole(tmp_path):
+    # A pipe reports no length and hands over its bytes as they are written:
+    # a reader sized from fstat, or one that stops at its first short read,
+    # gets a truncated payload here.
+    regular = tmp_path / "frame.pgm"
+    save_frame(frame_of(texture(8, 48, 64, lo=0, hi=256)), regular)
+    data = regular.read_bytes()
+    fifo = tmp_path / "frame.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb", buffering=0) as fh:
+            fh.write(data[: len(data) // 2])
+            time.sleep(0.05)
+            fh.write(data[len(data) // 2 :])
+
+    writer = threading.Thread(target=feed, daemon=True)  # daemon: a failed read leaves it blocked
+    writer.start()
+    try:
+        frame = load_frame(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(frame.pixels, load_frame(regular).pixels)
 
 
 def test_header_comments_are_tolerated(tmp_path):

@@ -41,7 +41,7 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 EQUIVALENT = {
     ("src/blockbg/foreground.py", 95, 10, "1 -> 2"):
         "_window_sum: dst[:2] is overwritten by the next line's dst[1:]",
-    ("src/blockbg/imaging.py", 223, 62, "256 -> 257"):
+    ("src/blockbg/imaging.py", 224, 62, "256 -> 257"):
         "_median3: any pad value above 255 sorts after every pixel",
     ("src/blockbg/background.py", 35, 20, "2 -> 3"):
         "CELL_BACKFILLED: any negative code but CELL_UNSETTLED's does; sidecars store the name",
@@ -57,7 +57,7 @@ EQUIVALENT = {
         "load_model: a malformed line 3 fails against any placeholder range",
     ("src/blockbg/comparators.py", 104, 52, "1 -> 2"):
         "zigzag_indices: NumPy's reshape infers a size given as -2 as it does -1",
-    ("src/blockbg/comparators.py", 151, 38, "<= -> <"):
+    ("src/blockbg/comparators.py", 162, 38, "<= -> <"):
         "compare: at exactly 16,843,009 pixels a uint64 sum gives the same exact mean",
 }
 
