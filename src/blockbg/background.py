@@ -9,7 +9,8 @@ or the frame budget runs out. A frame's cells are summarized when first
 compared (see ``FrameSummary``), and a pair's later frame keeps its
 summaries for the next pair. Rebuilds move one build along a stream's last
 frames (see ``RebuildWindow``), so each pair's cells are scored at most
-once per stream.
+once per stream, and a frame is read only for a pair with a cell to
+compare.
 
 Cell status bookkeeping: a cell is either unsettled, settled at a frame
 index (the later frame of the agreeing pair), or backfilled from a
@@ -70,7 +71,8 @@ def build_srbi(frames, grid: BlockGrid, cfg: ComparatorConfig, max_frames: int =
     """
     if max_frames < 2:
         raise ValueError(f"max_frames must be >= 2, got {max_frames}")
-    return _move(_unread(grid), frames, 0, max_frames, cfg)
+    stream = enumerate(frames)
+    return _move(_unread(grid), lambda k: next((f for i, f in stream if i == k), None), 0, max_frames, cfg)
 
 
 def _unread(grid: BlockGrid) -> BackgroundModel:
@@ -79,9 +81,11 @@ def _unread(grid: BlockGrid) -> BackgroundModel:
     return BackgroundModel(grid, np.broadcast_to(np.uint8(0), (grid.cropped_height, grid.cropped_width)), status, (0, 0))
 
 
-def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorConfig) -> BackgroundModel:
-    """``build_srbi`` over ``frames``, stream frames [start, end), from
-    ``build`` over stream frames [s, e), s <= start. A cell keeps its settle
+def _move(build: BackgroundModel, frame, start: int, end: int, cfg: ComparatorConfig) -> BackgroundModel:
+    """``build_srbi`` over stream frames [start, end), from ``build`` over
+    stream frames [s, e), s <= start. ``frame(k)`` returns stream frame k,
+    or None past the stream's end; it is asked in rising k, and only for the
+    two frames of a pair with a cell to compare. A cell keeps its settle
     index only inside the window, and an unsettled or backfilled cell failed
     every pair before e - 1, so only the cells that settled before ``start``
     are compared again from it; the unsettled ones join them at pair e - 1."""
@@ -94,24 +98,34 @@ def _move(build: BackgroundModel, frames, start: int, end: int, cfg: ComparatorC
     model_blocks[~kept & (status != CELL_UNSETTLED)] = 0  # an unsettled cell's pixels are 0
     status[~kept] = CELL_UNSETTLED
     resume = build.built_from[1] - 1  # the first pair the build's unsettled cells were not compared on
-    stream = iter(frames)
-    first = next(stream, None)
-    consumed = 0 if first is None else 1
-    later = None  # the summary of the last frame read, the earlier frame of the next pair
+    size = None  # the (width, height) of the first frame read
+
+    def summary(k: int) -> FrameSummary | None:
+        nonlocal size
+        if (f := frame(k)) is None:
+            return None
+        size = size or (f.width, f.height)
+        check_size(f, size, k - start)
+        return FrameSummary(block_view(f, grid), cfg)
+
+    consumed = 1  # the pairs passed, plus one
+    read = later = None  # the index and summary of the last frame read, the earlier frame of the next pair
     while start + consumed < end and (pending := status == CELL_UNSETTLED).any():
-        if (frame := next(stream, None)) is None:
-            break
-        if start + consumed <= resume:
+        k = start + consumed
+        if k <= resume:
             pending &= again
-        earlier = later or FrameSummary(block_view(first, grid), cfg)  # frame 0 is cropped once it has a pair
-        check_size(frame, (first.width, first.height), consumed)
-        later = FrameSummary(block_view(frame, grid), cfg)
         rows, cols = np.nonzero(pending)  # raster order
         if len(rows):  # a moved build may have no cell to compare before resume
+            if read != k - 1 and (later := summary(k - 1)) is None:
+                consumed = 0  # the stream holds no frame
+                break
+            earlier, read, later = later, k, summary(k)
+            if later is None:
+                break
             static = score_cells(earlier, later, rows, cols) < cfg.threshold
             rows, cols = rows[static], cols[static]
             model_blocks[rows, cols] = later.blocks[rows, cols]
-            status[rows, cols] = start + consumed
+            status[rows, cols] = k
         consumed += 1
     done = start + consumed if (status == CELL_UNSETTLED).any() else int(status.max()) + 1
     if done - start < 2:
@@ -136,18 +150,30 @@ def backfill(model: BackgroundModel, fallback: Frame) -> BackgroundModel:
     return BackgroundModel(grid=grid, pixels=pixels, cell_status=status, built_from=model.built_from)
 
 
-class RebuildWindow(deque):
-    """The last ``maxlen`` frames of a stream, and ``build``, ``build_srbi``
-    over them at the last ``update_srbi``, counting from the stream start; it
-    starts as the given build (backfilled cells count as unsettled) or unread."""
+class RebuildWindow:
+    """The last ``maxlen`` frames of a stream, by stream index, and
+    ``build``, ``build_srbi`` over them at the last ``update_srbi``,
+    counting from the stream start; it starts as the given build
+    (backfilled cells count as unsettled) or unread. Without ``reload`` the
+    window holds its frames. With it, a function that returns stream frame
+    k again, the window holds none, and a rebuild reads back only the frames
+    of the pairs it compares."""
 
-    def __init__(self, grid: BlockGrid, maxlen: int, build: BackgroundModel | None = None):
-        super().__init__((), maxlen)
+    def __init__(self, grid: BlockGrid, maxlen: int, build: BackgroundModel | None = None, reload=None):
+        self.maxlen, self.reload = maxlen, reload
+        self.held = deque((), 0 if reload else maxlen)
         self.build, self.end = build or _unread(grid), 0  # end: the number of frames appended
 
     def append(self, frame: Frame) -> None:
-        super().append(frame)
+        self.held.append(frame)
         self.end += 1
+
+    def __len__(self) -> int:
+        return min(self.end, self.maxlen)
+
+    def frame(self, k: int) -> Frame:
+        """Stream frame k, one of the window's."""
+        return self.reload(k) if self.reload else self.held[k - self.end + len(self.held)]
 
 
 def update_srbi(model: BackgroundModel, window: RebuildWindow, cfg: ComparatorConfig) -> BackgroundModel:
@@ -155,10 +181,11 @@ def update_srbi(model: BackgroundModel, window: RebuildWindow, cfg: ComparatorCo
 
     The moved build is ``build_srbi`` over the window and scores no (pair,
     cell) the build has scored (see ``_move``); a window that ends before
-    the build reads it cut there. The new model is adopted only when its
-    coverage is at least the old one's, so a burst of activity can never
-    degrade an established model."""
-    fresh = _move(window.build, window, window.end - len(window), window.end, cfg)
+    the build reads it cut there. Either reads only the frames of the pairs
+    it compares. The new model is adopted only when its coverage is at
+    least the old one's, so a burst of activity can never degrade an
+    established model."""
+    fresh = _move(window.build, window.frame, window.end - len(window), window.end, cfg)
     if fresh.built_from[1] >= window.build.built_from[1]:
         window.build = fresh
     return fresh if coverage(fresh) >= coverage(model) else model

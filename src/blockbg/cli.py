@@ -19,6 +19,7 @@ import csv
 import functools
 import os
 import sys
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import fields
 from itertools import chain, islice
@@ -55,7 +56,7 @@ from .foreground import (
     DEFAULT_WINDOW,
     mask_to_frame,
 )
-from .imaging import DEFAULT_PATTERN, PREFILTERS, Frame, load_sequence, prefilter, save_frame
+from .imaging import DEFAULT_PATTERN, PREFILTERS, Frame, FrameFiles, load_sequence, prefilter, save_frame
 from .keyvalue import decimal_float, decimal_int, read_key_values
 from .pipeline import PipelineParams, build_model, detect_stream
 from .validation import HeuristicParams
@@ -289,7 +290,7 @@ def _echo_config(args: argparse.Namespace, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _sequence(args: argparse.Namespace, min_frames: int = 2) -> Iterator[Frame]:
+def _sequence(args: argparse.Namespace, min_frames: int = 2) -> FrameFiles:
     """load_sequence with the configured pattern."""
     try:
         return load_sequence(args.input, args.pattern, min_frames)
@@ -297,9 +298,15 @@ def _sequence(args: argparse.Namespace, min_frames: int = 2) -> Iterator[Frame]:
         raise ConfigError(str(exc)) from exc
 
 
-def _frames(args: argparse.Namespace) -> Iterator[Frame]:
-    """The input frames, each decoded and prefiltered when it is pulled."""
-    return (prefilter(f, args.prefilter) for f in _sequence(args))
+def _frames(args: argparse.Namespace, files: FrameFiles) -> Iterator[Frame]:
+    """The frames of ``files``, each decoded and prefiltered when it is pulled."""
+    return (prefilter(f, args.prefilter) for f in files)
+
+
+def _taking(frames: deque) -> Iterator[Frame]:
+    """The frames of ``frames``, each removed as it is taken."""
+    while frames:
+        yield frames.popleft()
 
 
 def _note_backfill(model: BackgroundModel) -> None:
@@ -314,7 +321,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
     params = _pipeline_params(args)
     out = Path(args.out)
 
-    model = build_model(_frames(args), params, cfg, args.max_frames, fill=not args.no_backfill)
+    model = build_model(_frames(args, _sequence(args)), params, cfg, args.max_frames, fill=not args.no_backfill)
     _note_backfill(model)
     save_model(model, out)
     _echo_config(args, out.with_name(out.name + ".config.txt"))
@@ -339,18 +346,20 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     params = _pipeline_params(args)
     out_dir = Path(args.out_dir)
 
-    frames = _frames(args)
-    pulled = []  # frames the inline build decoded; detection starts with them
+    files = _sequence(args)
+    frames = _frames(args, files)
+    pulled = deque()  # frames the inline build decoded; detection starts with them
     if args.model is not None:
         model = load_model(args.model)  # frames smaller than it fail in subtract
     else:
         model = build_model(islice(frames, args.model_frames), params, cfg, args.max_frames, pulled=pulled)
         _note_backfill(model)
     rebuild_every = args.rebuild_every if args.model is None else 0  # a saved model is never rebuilt
-    results = detect_stream(model, chain(iter(pulled), frames), params, cfg, args.max_frames, rebuild_every, model)  # rebuilds move the inline build on
-    # The loop takes the model and the pulled frames over; through iter(), not
-    # chain's own, the list is freed once the loop has passed it.
-    del pulled, model
+    # Rebuilds move the inline build on. They read a window frame again from
+    # its file, which must not change meanwhile; a FIFO's frames are held.
+    reload = (lambda i: prefilter(files.reread(i), args.prefilter)) if files.regular else None
+    results = detect_stream(model, chain(_taking(pulled), frames), params, cfg, args.max_frames, rebuild_every, model, reload)
+    del pulled, model  # the loop takes them over, and frees each pulled frame once it is done with it
     out_dir.mkdir(parents=True, exist_ok=True)
     n_frames = n_objects = 0
     with open(out_dir / "objects.csv", "w", newline="") as fh:

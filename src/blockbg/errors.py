@@ -19,7 +19,8 @@ class SequenceTooShort(PipelineError):
 
 
 class InconsistentSequence(PipelineError):
-    """Frames in a sequence disagree on dimensions.
+    """Frames in a sequence disagree on dimensions, or a frame's file
+    changed after it was first read.
 
     ``index`` is the offending frame index.
     """

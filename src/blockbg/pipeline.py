@@ -8,7 +8,7 @@ frame with ``detect_stream``. Results are deterministic for a given input.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, MutableSequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -109,7 +109,7 @@ def run_detection(
 
 def build_model(
     frames: Iterable[Frame], params: PipelineParams, cfg: ComparatorConfig,
-    max_frames: int = DEFAULT_MAX_FRAMES, fill: bool = True, pulled: list | None = None,
+    max_frames: int = DEFAULT_MAX_FRAMES, fill: bool = True, pulled: MutableSequence[Frame] | None = None,
 ) -> BackgroundModel:
     """``build_srbi`` over the head of ``frames``, on the grid their first two
     resolve to; each frame it pulls is appended to ``pulled``. With ``fill``,
@@ -133,11 +133,14 @@ def build_model(
 def detect_stream(
     model: BackgroundModel, frames: Iterable[Frame], params: PipelineParams, cfg: ComparatorConfig | None = None,
     max_frames: int = DEFAULT_MAX_FRAMES, rebuild_every: int = 0, build: BackgroundModel | None = None,
+    reload: Callable[[int], Frame] | None = None,
 ) -> Iterator[tuple[ForegroundMask, list[DetectedObject]]]:
     """Each frame's mask and objects, in order. With ``rebuild_every`` N > 0,
     ``update_srbi`` moves one build with ``cfg`` (at first ``build``, one over
-    the head of ``frames``, or unread) to the last ``max_frames`` frames, the
-    only ones held besides the current one, before every Nth frame. A
+    the head of ``frames``, or unread) to the last ``max_frames`` frames
+    before every Nth frame. Those frames are held, besides the current one,
+    unless ``reload(i)`` returns frame i of ``frames`` again: then none is
+    held, and a rebuild reloads only the frames of the pairs it compares. A
     negative ``rebuild_every``, or a positive one without ``cfg`` or with
     ``max_frames`` < 2, raises ValueError before any frame is read."""
     if rebuild_every < 0:
@@ -146,7 +149,7 @@ def detect_stream(
         raise ValueError("rebuilding needs a comparator config")
     if rebuild_every and max_frames < 2:
         raise ValueError(f"rebuilding needs max_frames >= 2, got {max_frames}")
-    recent = RebuildWindow(model.grid, max_frames if rebuild_every else 0, build)
+    recent = RebuildWindow(model.grid, max_frames if rebuild_every else 0, build, reload)
     for i, frame in enumerate(frames):
         if len(recent) >= 2 and i % rebuild_every == 0:
             model = update_srbi(model, recent, cfg)

@@ -204,9 +204,12 @@ small_scenes = st.builds(
 )
 
 
-def window_of(grid, frames, maxlen=None, build=None):
-    """A RebuildWindow over the stream ``frames`` that holds its last ``maxlen``."""
-    window = RebuildWindow(grid, len(frames) if maxlen is None else maxlen, build)
+def window_of(grid, frames, maxlen=None, build=None, reloads=None):
+    """A RebuildWindow over the stream ``frames`` that holds its last
+    ``maxlen``; or, given a list ``reloads``, that holds none, reloads each
+    frame it needs from ``frames`` and appends its index to ``reloads``."""
+    reload = None if reloads is None else lambda k: reloads.append(k) or frames[k]
+    window = RebuildWindow(grid, len(frames) if maxlen is None else maxlen, build, reload)
     for frame in frames:
         window.append(frame)
     return window
@@ -246,16 +249,17 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
             stacks = record_block_stacks(mp)
             model = build_srbi(frames, grid, cfg, max_frames)
             built = blocks_scored(calls)
-            # The build moved to frames[shift:], as many as max_frames allows.
-            held = min(max_frames, len(frames) - shift)
-            window = window_of(grid, frames[: shift + held], held, model)
+            # The build moved to frames[shift:], as many as max_frames allows,
+            # reloading each frame it reads.
+            held, reloads = min(max_frames, len(frames) - shift), []
+            window = window_of(grid, frames[: shift + held], held, model, reloads)
             rebuilt = update_srbi(model, window, cfg)
             moved = blocks_scored(calls) - built
             # A window that ends before the build does reads it cut there; against
             # a model that covers nothing, that read is adopted, so it is seen.
-            cut = min(cut, len(frames))
+            cut, cut_reloads = min(cut, len(frames)), []
             unread = BackgroundModel(grid, model.pixels, np.full_like(model.cell_status, CELL_UNSETTLED), (0, 0))
-            truncated = update_srbi(unread, window_of(grid, frames[:cut], build=model), cfg)
+            truncated = update_srbi(unread, window_of(grid, frames[:cut], build=model, reloads=cut_reloads), cfg)
         assert np.array_equal(model.pixels, want[0]), method
         assert np.array_equal(model.cell_status, want[1]), method
         assert model.built_from == want[2], method
@@ -270,12 +274,17 @@ def test_build_and_its_move_to_a_later_window_match_the_cell_by_cell_reference(
         assert np.array_equal(window.build.cell_status, status), method
         assert window.build.built_from == built_from, method
         assert rebuilt is (window.build if coverage(window.build) >= coverage(model) else model), method
-        # The move scored only the (pair, cell)s the build had not.
-        assert moved == len(scored_pairs(status, built_from) - scored_pairs(*want[1:])), method
+        # The move scored only the (pair, cell)s the build had not, and read
+        # only the frames of their pairs, each once, in order.
+        new_pairs = scored_pairs(status, built_from) - scored_pairs(*want[1:])
+        assert moved == len(new_pairs), method
+        assert reloads == sorted({k + d for k, _, _ in new_pairs for d in (0, 1)}), method
         head = settle_cell_by_cell(frames[:cut], grid, cfg)
         assert np.array_equal(truncated.pixels, head[0]), method
         assert np.array_equal(truncated.cell_status, head[1]), method
         assert truncated.built_from == head[2], method
+        new_pairs = scored_pairs(*head[1:]) - scored_pairs(*want[1:])
+        assert cut_reloads == sorted({k + d for k, _, _ in new_pairs for d in (0, 1)}), method
 
 
 def test_a_build_scores_each_pairs_pending_cells_in_one_call(monkeypatch):

@@ -4,17 +4,22 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 import weakref
-from collections import deque
+from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockbg.background
 import blockbg.cli
 import blockbg.imaging
+import blockbg.pipeline
 from blockbg.background import CELL_UNSETTLED, backfill, build_srbi, coverage, load_model
 from blockbg.bench import Mover, SceneSpec, gen_scene, write_scene_file
-from blockbg.blocks import make_grid
+from blockbg.blocks import block_view, make_grid
 from blockbg.cli import main
 from blockbg.comparators import Method, default_config
 from blockbg.foreground import DEFAULT_WINDOW, mask_to_frame
@@ -318,24 +323,185 @@ def test_detect_rebuilds_reuse_the_inline_builds_scores(tmp_path, capsys, monkey
 
 
 def test_detect_releases_frames_it_no_longer_needs(tmp_path, capsys, monkeypatch):
+    # Without rebuilds, and with the default ones: a window over regular
+    # files holds no frame, so frame 0 is freed once it is detected.
     d, frames = sliding_scene(tmp_path)
-    refs = []  # a weak reference to each frame as it is loaded
-    dead_at_last = []
+    original = blockbg.imaging.load_frame
+    for rebuilds in (["--rebuild-every", "0"], []):
+        refs = []  # a weak reference to each frame as it is loaded
+        dead_at_last = []
+
+        def loading(path):
+            frame = original(path)
+            refs.append(weakref.ref(frame))
+            if len(refs) == len(frames):
+                dead_at_last.append(refs[0]() is None)
+            return frame
+
+        monkeypatch.setattr(blockbg.imaging, "load_frame", loading)
+        code, _, _ = run(
+            capsys, "detect", "--input", str(d), "--model-frames", "3", *rebuilds,
+            "--grid", "8", "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 0 and dead_at_last == [True], rebuilds
+
+
+def test_detect_with_rebuilds_does_not_grow_its_traced_peak_with_its_input(tmp_path, capsys):
+    # 160 frames of 160x120 against the first 40: the window of the default
+    # 150 frames would hold 110 more frames' pixels, about 2 MiB. Only the
+    # file list and each file's stamp grow, a few hundred bytes a file.
+    spec = SceneSpec(160, 120, 160, movers=(Mover(0, 30, 20, 14, 230, 3, 0),), noise_sigma=4.0, seed=7)
+    frames = [f.pixels for f in gen_scene(spec).frames]
+    peaks = []
+    for count in (40, 160):
+        d = tmp_path / f"frames{count}"
+        d.mkdir()
+        write_frames(d, frames[:count])
+        argv = ["detect", "--input", str(d), "--model-frames", "5", "--rebuild-every", "10", "--grid", "8",
+                "--out-dir", str(tmp_path / f"out{count}")]
+        if not peaks:
+            run(capsys, *argv)  # once untraced, so that caches filled on first use are not counted
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and f"frames {count}" in capsys.readouterr().out
+    assert peaks[1] - peaks[0] < 5 * 160 * 120, peaks
+
+
+def frame_loads(monkeypatch) -> list[str]:
+    """Patch ``load_frame`` so that the name of each file it loads is appended to the returned list."""
+    loads, original = [], blockbg.imaging.load_frame
+    monkeypatch.setattr(blockbg.imaging, "load_frame", lambda path: loads.append(Path(path).name) or original(path))
+    return loads
+
+
+def test_detect_whose_rebuilds_compare_nothing_loads_each_file_once_and_holds_none(tmp_path, capsys, monkeypatch):
+    # The inline build settles its last cell at frame 7, so the first
+    # rebuilds read it cut at 2, 4 and 6, and the window, never longer than
+    # the default 150 frames, never leaves frame 0: no rebuild has a pair to
+    # compare.
+    spec = SceneSpec(64, 48, 24, movers=(Mover(0, 8, 12, 10, 230, 3, 0),), noise_sigma=4.0, seed=2)
+    d = tmp_path / "frames"
+    d.mkdir()
+    write_frames(d, [f.pixels for f in gen_scene(spec).frames])
+    rebuilds, calls = record_rebuilds(monkeypatch)
+    refs = []
+    alive = []  # per load, the earlier frames still alive
     original = blockbg.imaging.load_frame
 
     def loading(path):
-        frame = original(path)
-        refs.append(weakref.ref(frame))
-        if len(refs) == len(frames):
-            dead_at_last.append(refs[0]() is None)
+        alive.append([i for i, ref in enumerate(refs) if ref() is not None])
+        refs.append(weakref.ref(frame := original(path)))
         return frame
 
     monkeypatch.setattr(blockbg.imaging, "load_frame", loading)
-    code, _, _ = run(
-        capsys, "detect", "--input", str(d), "--model-frames", "3", "--rebuild-every", "0",
+    loads = frame_loads(monkeypatch)
+    code, _, stderr = run(
+        capsys, "detect", "--input", str(d), "--model-frames", "8", "--rebuild-every", "2",
         "--grid", "8", "--out-dir", str(tmp_path / "out"),
     )
-    assert code == 0 and dead_at_last == [True]
+    assert code == 0 and "backfilled" not in stderr
+    assert len(rebuilds) == 11 and sum(r.scored for r in rebuilds) == 0
+    assert [r.end for r in rebuilds[:4]] == [2, 4, 6, 8] and rebuilds[0].build.built_from == (0, 8)
+    assert sorted(loads) == [f"{i:06d}.pgm" for i in range(24)]
+    # From frame 9 on, only the frame in detection, the one before, is alive.
+    assert all(held == [i - 1] for i, held in enumerate(alive) if i > 8), alive
+
+
+def test_detect_rereads_only_the_frames_of_the_pairs_its_rebuilds_compare(tmp_path, capsys, monkeypatch):
+    # With --max-frames 4 the window leaves frame 0 at frame 5, and each
+    # move from then on compares again the cells settled at its start.
+    d, frames = sliding_scene(tmp_path)
+    grid = make_grid(64, 48, 8)
+    index = {block_view(f, grid).tobytes(): i for i, f in enumerate(frames)}
+    compared = []  # per rebuild, the frames of the pairs it compared
+    score_cells, update_srbi = blockbg.background.score_cells, blockbg.pipeline.update_srbi
+
+    def scoring(a, b, rows, cols):
+        if compared:  # the inline build's pairs come first
+            compared[-1].update(index[s.blocks.tobytes()] for s in (a, b))
+        return score_cells(a, b, rows, cols)
+
+    def rebuilding(model, window, cfg):
+        compared.append(set())
+        return update_srbi(model, window, cfg)
+
+    monkeypatch.setattr(blockbg.background, "score_cells", scoring)
+    monkeypatch.setattr(blockbg.pipeline, "update_srbi", rebuilding)
+    loads = frame_loads(monkeypatch)
+    code, _, _ = run(
+        capsys, "detect", "--input", str(d), "--model-frames", "3", "--max-frames", "4",
+        "--rebuild-every", "1", "--method", "dct", "--grid", "8", "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 0 and len(compared) == len(frames) - 2
+    want = {f"{i:06d}.pgm": 1 + sum(i in c for c in compared) for i in range(len(frames))}
+    assert Counter(loads) == want
+    reread = sum(map(len, compared))
+    assert 0 < reread < sum(min(i, 4) for i in range(2, len(frames))), reread  # not every window frame
+
+
+def test_detect_stops_at_a_rebuild_that_needs_a_file_rewritten_since_it_was_read(tmp_path, capsys, monkeypatch):
+    d, _ = sliding_scene(tmp_path)
+    argv = [
+        "detect", "--input", str(d), "--model-frames", "3", "--max-frames", "4", "--rebuild-every", "1",
+        "--grid", "8", "--out-dir", str(tmp_path / "out"),
+    ]
+    with monkeypatch.context() as mp:
+        clean = frame_loads(mp)
+        assert run(capsys, *argv)[0] == 0
+    first = next(k for k, name in enumerate(clean) if name in clean[:k])  # the first reread
+    original = blockbg.imaging.load_frame
+
+    def rewriting(path):
+        frame = original(path)
+        copy = Path(path).with_suffix(".new")
+        copy.write_bytes(Path(path).read_bytes())
+        os.replace(copy, path)  # the same bytes, in a new inode
+        return frame
+
+    monkeypatch.setattr(blockbg.imaging, "load_frame", rewriting)
+    loads = frame_loads(monkeypatch)
+    code, _, stderr = run(capsys, *argv)
+    assert code == 1 and loads == clean[:first]  # no file was read twice
+    assert stderr.splitlines()[-1] == f"error: {d / clean[first]}: changed since it was first read"
+    # The rebuild before frame i needs it; masks 0 .. i - 1 are written.
+    masks = sorted(p.name for p in (tmp_path / "out").glob("mask_*.pgm"))
+    assert masks == [f"mask_{i:06d}.pgm" for i in range(first - 1)]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_detect_with_rebuilds_writes_the_same_over_fifos_as_over_files(tmp_path, capsys):
+    # A FIFO can be read once, so the window holds its frames; over regular
+    # files it reads them again, prefiltered again.
+    d, _ = sliding_scene(tmp_path)
+    fifos = tmp_path / "fifos"
+    fifos.mkdir()
+    names = sorted(p.name for p in d.iterdir())
+    for name in names:
+        os.mkfifo(fifos / name)
+
+    def feed():
+        for name in names:
+            with open(fifos / name, "wb") as fh:
+                fh.write((d / name).read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)  # daemon: a failed run leaves it blocked
+    writer.start()
+    outputs = []
+    for source in (fifos, d):
+        out = tmp_path / f"out-{source.name}"
+        code, _, _ = run(
+            capsys, "detect", "--input", str(source), "--model-frames", "3", "--max-frames", "4",
+            "--rebuild-every", "1", "--prefilter", "median3", "--grid", "8", "--out-dir", str(out),
+        )
+        assert code == 0, source
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert outputs[0] == outputs[1] and len(outputs[0]) == len(names) + 2
 
 
 def test_detect_writes_masks_up_to_a_bad_frame(tmp_path, capsys):

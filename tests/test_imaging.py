@@ -16,6 +16,7 @@ from blockbg.errors import (
 )
 from blockbg.imaging import (
     Frame,
+    _median3,
     load_frame,
     load_sequence,
     prefilter,
@@ -389,6 +390,27 @@ def test_median3_larger_frame_against_oracle():
     px = texture(200, 24, 33, lo=0, hi=256)
     out = prefilter(frame_of(px), "median3")
     assert np.array_equal(out.pixels, naive_median3(px))
+
+
+# Every height and width phase mod 3 (the pads' phases follow it), the
+# smallest frames, where one window clips on both sides, and up to 40.
+MEDIAN_SIDES = (2, 3, 4, 5, 6, 7, 17, 18, 19, 38, 39, 40)
+
+
+def test_median3_kernel_matches_naive_oracle_on_every_shape_phase():
+    # The kernel pads with 0 and 255, so frames holding only those values
+    # are the ones a pad in the wrong place would change.
+    rng = np.random.default_rng(31)
+    for h in MEDIAN_SIDES:
+        for w in MEDIAN_SIDES:
+            frames = [
+                rng.integers(0, 256, (h, w), dtype=np.uint8),
+                rng.choice(np.array([0, 255], dtype=np.uint8), (h, w)),
+                *(np.full((h, w), v, dtype=np.uint8) for v in (0, 128, 255)),
+            ]
+            for px in frames:
+                out = _median3(px)
+                assert out.dtype == np.uint8 and np.array_equal(out, naive_median3(px)), (h, w, px)
 
 
 def test_median3_never_invents_values():

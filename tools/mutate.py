@@ -41,19 +41,21 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 EQUIVALENT = {
     ("src/blockbg/foreground.py", 95, 10, "1 -> 2"):
         "_window_sum: dst[:2] is overwritten by the next line's dst[1:]",
-    ("src/blockbg/imaging.py", 224, 62, "256 -> 257"):
-        "_median3: any pad value above 255 sorts after every pixel",
-    ("src/blockbg/background.py", 35, 20, "2 -> 3"):
+    ("src/blockbg/imaging.py", 269, 16, "1 -> 2"):
+        "_median3: either start leaves one 255 in every three row pads; no column pad is a corner",
+    ("src/blockbg/background.py", 36, 20, "2 -> 3"):
         "CELL_BACKFILLED: any negative code but CELL_UNSETTLED's does; sidecars store the name",
-    ("src/blockbg/background.py", 79, 116, "0 -> 1"):
+    ("src/blockbg/background.py", 81, 116, "0 -> 1"):
         "_unread: no code reads the start of an unread build's built_from",
-    ("src/blockbg/background.py", 79, 119, "0 -> 1"):
+    ("src/blockbg/background.py", 81, 119, "0 -> 1"):
         "_unread: resume = end - 1 = 0 stays below every pair a build reads",
-    ("src/blockbg/background.py", 92, 24, ">= -> >"):
+    ("src/blockbg/background.py", 96, 24, ">= -> >"):
         "_move: a build never settles a cell at index 0, and load_model rejects one",
-    ("src/blockbg/background.py", 92, 24, "0 -> 1"):
+    ("src/blockbg/background.py", 96, 24, "0 -> 1"):
         "_move: a build never settles a cell at index 0, and load_model rejects one",
-    ("src/blockbg/background.py", 230, 23, "0 -> 1"):
+    ("src/blockbg/background.py", 164, 31, "0 -> 1"):
+        "RebuildWindow: with reload, a 1-frame deque holds only the frame the detect loop still holds",
+    ("src/blockbg/background.py", 257, 23, "0 -> 1"):
         "load_model: a malformed line 3 fails against any placeholder range",
     ("src/blockbg/comparators.py", 104, 52, "1 -> 2"):
         "zigzag_indices: NumPy's reshape infers a size given as -2 as it does -1",
